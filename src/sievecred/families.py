@@ -1,16 +1,21 @@
 """The four observation models: simulation, likelihoods, projections, embeddings.
 
 Each family bundles the parameterization theta -> observable, a simulator for
-data from a truth, exact log-likelihoods, the projection of a truth onto the
-k-dimensional model, and the semi-metric in which credible balls are built.
-Density families (histogram, log-linear) share a fixed quadrature grid; design
-families (regression, classification) are bound to a midpoint design of size n.
+data from a truth, the projection of a truth onto the k-dimensional model, and
+the semi-metric in which credible balls are built. Its likelihood has two entry
+points: `loglik(data, k)` scores a (s, k) array of theta rows, and
+`loglik_derivs(data, k)` gives theta -> (value, gradient, Hessian) for the
+smooth families. Histogram, log-linear and classification embed theta rows
+through one `embedding_rows(block, k)` method, over which centers and draw
+distances are shared. Density families (histogram, log-linear) share a fixed
+quadrature grid; design families (regression, classification) are bound to a
+midpoint design of size n.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -78,7 +83,50 @@ def _inverse_cdf_sample(density_values: np.ndarray, grid: np.ndarray, n: int, rn
     return np.interp(rng.random(n), cdf, grid)
 
 
-class Regression:
+def _maximize(derivs, x0, n: int = 1) -> np.ndarray:
+    """argmax of an expected log-likelihood, by damped Newton on its negative / n."""
+
+    def objective(theta):
+        value, grad, hess = derivs(theta)
+        return -value / n, -grad / n, -hess / n
+
+    theta, _ = damped_newton(objective, x0)
+    return theta
+
+
+class _Family:
+    def log_likelihood(self, theta, data: Dataset) -> float:
+        """log-likelihood of one parameter vector, through the batched `loglik`."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return float(self.loglik(data, theta.size)(theta[None, :])[0])
+
+
+class _RowEmbedded(_Family):
+    """Center and draw distances computed from the family's `embedding_rows`."""
+
+    center_kind = "density"
+
+    def center(self, draws) -> CenterPoint:
+        total = 0
+        acc = 0.0
+        for k in sorted(draws.blocks):
+            block = draws.blocks[k]
+            acc = acc + self.embedding_rows(block, k).sum(axis=0)
+            total += block.shape[0]
+        return CenterPoint(self.tag, self.center_kind, acc / total)
+
+    def center_embedding(self, center: CenterPoint) -> np.ndarray:
+        return center.values
+
+    def draw_distances(self, draws, center: CenterPoint) -> np.ndarray:
+        metric = self.metric()
+        return np.concatenate([
+            metric.distances(self.embedding_rows(draws.blocks[k], k), center.values)
+            for k in sorted(draws.blocks)
+        ])
+
+
+class Regression(_Family):
     """Fixed-design Gaussian regression, unit noise."""
 
     tag = "regression"
@@ -118,41 +166,29 @@ class Regression:
         y = self.truth_embedding(truth) + rng.standard_normal(n)
         return Dataset(self.tag, y, self.design, n, seed)
 
-    def log_likelihood(self, theta, data: Dataset) -> float:
-        if data.n == 0:
-            return 0.0
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        r = data.y - self.design.phi(theta.size) @ theta
-        return -0.5 * data.n * _LOG2PI - 0.5 * float(r @ r)
-
-    def make_loglik(self, data: Dataset, k: int):
-        if data.n == 0:
-            return lambda theta: 0.0
+    def _quadratic(self, data: Dataset, k: int):
         phi = self.design.phi(k)
-        gram = phi.T @ phi
-        phi_y = phi.T @ data.y
-        yy = float(data.y @ data.y)
-        const = -0.5 * data.n * _LOG2PI
+        return phi.T @ phi, phi.T @ data.y, float(data.y @ data.y), -0.5 * data.n * _LOG2PI
 
-        def loglik(theta):
-            return const - 0.5 * (yy - 2.0 * float(theta @ phi_y) + float(theta @ gram @ theta))
-
-        return loglik
-
-    def make_loglik_batch(self, data: Dataset, k: int):
+    def loglik(self, data: Dataset, k: int):
         if data.n == 0:
             return lambda thetas: np.zeros(thetas.shape[0])
-        phi = self.design.phi(k)
-        gram = phi.T @ phi
-        phi_y = phi.T @ data.y
-        yy = float(data.y @ data.y)
-        const = -0.5 * data.n * _LOG2PI
+        gram, phi_y, yy, const = self._quadratic(data, k)
 
         def loglik(thetas):
             quad = np.einsum("si,ij,sj->s", thetas, gram, thetas)
             return const - 0.5 * (yy - 2.0 * thetas @ phi_y + quad)
 
         return loglik
+
+    def loglik_derivs(self, data: Dataset, k: int):
+        gram, phi_y, yy, const = self._quadratic(data, k)
+
+        def derivs(theta):
+            value = const - 0.5 * (yy - 2.0 * float(theta @ phi_y) + float(theta @ gram @ theta))
+            return value, phi_y - gram @ theta, -gram
+
+        return derivs
 
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
         phi = self.design.phi(k)
@@ -199,7 +235,7 @@ class Regression:
         return np.concatenate(parts)
 
 
-class Histogram:
+class Histogram(_RowEmbedded):
     """Regular-bin random histograms for density estimation on [0, 1]."""
 
     tag = "histogram"
@@ -257,32 +293,10 @@ class Histogram:
         return np.bincount(idx, minlength=k)
 
     def log_likelihood(self, theta, data: Dataset) -> float:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        _simplex_check(theta)
-        if data.n == 0:
-            return 0.0
-        k = theta.size
-        counts = self.counts(data, k)
-        occupied = counts > 0
-        if np.any(theta[occupied] == 0.0):
-            return -np.inf
-        return float(np.sum(counts[occupied] * np.log(k * theta[occupied])))
+        _simplex_check(np.atleast_1d(np.asarray(theta, dtype=float)))
+        return super().log_likelihood(theta, data)
 
-    def make_loglik(self, data: Dataset, k: int):
-        counts = self.counts(data, k)
-        occupied = counts > 0
-        c_occ = counts[occupied]
-        logk = np.log(k)
-
-        def loglik(theta):
-            t = theta[occupied]
-            if np.any(t <= 0.0):
-                return -np.inf
-            return float(np.sum(c_occ * (logk + np.log(t))))
-
-        return loglik
-
-    def make_loglik_batch(self, data: Dataset, k: int):
+    def loglik(self, data: Dataset, k: int):
         counts = self.counts(data, k)
         occupied = counts > 0
         c_occ = counts[occupied].astype(float)
@@ -314,40 +328,26 @@ class Histogram:
             self._cells_cache[k] = np.minimum((self.rule.nodes * k).astype(int), k - 1)
         return self._cells_cache[k]
 
-    def density_rows(self, block: np.ndarray, k: int) -> np.ndarray:
+    def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         return k * block[:, self.node_cells(k)]
 
     def center(self, draws) -> CenterPoint:
-        total = 0
-        acc = np.zeros(self.rule.nodes.size)
-        for k in sorted(draws.blocks):
-            block = draws.blocks[k]
-            acc += self.density_rows(block, k).sum(axis=0)
-            total += block.shape[0]
-        values = acc / total
-        hist_k = hist_theta = None
-        if len(draws.blocks) == 1:
-            (k,) = draws.blocks
-            hist_k = k
-            hist_theta = draws.blocks[k].mean(axis=0)
-        return CenterPoint(self.tag, "density", values, hist_k=hist_k, hist_theta=hist_theta)
-
-    def center_embedding(self, center: CenterPoint) -> np.ndarray:
-        return center.values
+        center = super().center(draws)
+        if len(draws.blocks) != 1:
+            return center
+        (k,) = draws.blocks
+        return replace(center, hist_k=k, hist_theta=draws.blocks[k].mean(axis=0))
 
     def draw_distances(self, draws, center: CenterPoint) -> np.ndarray:
         if center.hist_k is not None and set(draws.blocks) == {center.hist_k}:
+            # exact Hellinger distance between histograms on the same bins
             block = draws.blocks[center.hist_k]
             diff = np.sqrt(block) - np.sqrt(center.hist_theta)[None, :]
             return np.sqrt(np.clip(np.sum(diff**2, axis=1), 0.0, None))
-        metric = self.metric()
-        parts = []
-        for k in sorted(draws.blocks):
-            parts.append(metric.distances(self.density_rows(draws.blocks[k], k), center.values))
-        return np.concatenate(parts)
+        return super().draw_distances(draws, center)
 
 
-class LogLinear:
+class LogLinear(_RowEmbedded):
     """Exponential-family densities exp(sum_j theta_j phi_j - c(theta)) on [0, 1]."""
 
     tag = "loglinear"
@@ -367,12 +367,14 @@ class LogLinear:
         self._truth_cache: dict[bytes, np.ndarray] = {}
         self._pdf_cache: dict[bytes, np.ndarray] = {}
 
+    def _log_norm_values(self, g: np.ndarray) -> float:
+        m = float(g.max())
+        return m + float(np.log(self.rule.weights @ np.exp(g - m)))
+
     def log_norm(self, theta) -> float:
         """c(theta) = log int exp(sum theta_j phi_j), overflow-guarded."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        g = self.phi_grid[:, : theta.size] @ theta
-        m = float(g.max()) if g.size else 0.0
-        return m + float(np.log(self.rule.weights @ np.exp(g - m)))
+        return self._log_norm_values(self.phi_grid[:, : theta.size] @ theta)
 
     def log_norm_parts(self, theta):
         """(c, E phi, Cov phi) under f_theta, all on the quadrature grid."""
@@ -398,15 +400,12 @@ class LogLinear:
         key = truth.coefficients.tobytes()
         if key not in self._truth_cache:
             g = eval_series(self.rule.nodes, truth.coefficients, self.basis_tag)
-            m = float(g.max())
-            c = m + float(np.log(self.rule.weights @ np.exp(g - m)))
-            self._truth_cache[key] = np.exp(g - c)
+            self._truth_cache[key] = np.exp(g - self._log_norm_values(g))
         return self._truth_cache[key]
 
     def _truth_log_norm(self, truth: TruthSpec) -> float:
         g = eval_series(self.rule.nodes, truth.coefficients, self.basis_tag)
-        m = float(g.max())
-        return m + float(np.log(self.rule.weights @ np.exp(g - m)))
+        return self._log_norm_values(g)
 
     def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
         if truth.family_tag != self.tag:
@@ -429,28 +428,7 @@ class LogLinear:
             return np.zeros(k)
         return basis_matrix(data.y, k, self.basis_tag).sum(axis=0)
 
-    def log_likelihood(self, theta, data: Dataset) -> float:
-        if data.n == 0:
-            return 0.0
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        t_stats = self.suff_stats(data, theta.size)
-        return float(theta @ t_stats) - data.n * self.log_norm(theta)
-
-    def make_loglik(self, data: Dataset, k: int):
-        t_stats = self.suff_stats(data, k)
-        n = data.n
-        phi = self.phi_grid[:, :k]
-        weights = self.rule.weights
-
-        def loglik(theta):
-            g = phi @ theta
-            m = g.max()
-            c = m + np.log(weights @ np.exp(g - m))
-            return float(theta @ t_stats) - n * float(c)
-
-        return loglik
-
-    def make_loglik_batch(self, data: Dataset, k: int):
+    def loglik(self, data: Dataset, k: int):
         t_stats = self.suff_stats(data, k)
         n = data.n
         phi = self.phi_grid[:, :k]
@@ -464,19 +442,25 @@ class LogLinear:
 
         return loglik
 
+    def loglik_derivs(self, data: Dataset, k: int):
+        return self._derivs(self.suff_stats(data, k), data.n)
+
+    def _derivs(self, t_stats: np.ndarray, n: int):
+        """theta -> (value, grad, hess) of theta . t_stats - n c(theta)."""
+
+        def derivs(theta):
+            c, mean, cov = self.log_norm_parts(theta)
+            return float(theta @ t_stats) - n * c, t_stats - n * mean, -n * cov
+
+        return derivs
+
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
         """KL(theta_0, .) minimizer: matches E_{f_theta} phi_j to the truth's moments."""
         f0 = self.truth_embedding(truth)
         m0 = self.phi_grid[:, :k].T @ (self.rule.weights * f0)
-
-        def objective(theta):
-            c, mean, cov = self.log_norm_parts(theta)
-            return c - float(theta @ m0), mean - m0, cov
-
         x0 = np.zeros(k)
         x0[: min(k, truth.coefficients.size)] = truth.coefficients[:k]
-        theta, _ = damped_newton(objective, x0)
-        return theta
+        return _maximize(self._derivs(m0, 1), x0)
 
     def bias_sq(self, truth: TruthSpec, k: int) -> float:
         theta = self.project(truth, k)
@@ -485,36 +469,18 @@ class LogLinear:
     def metric(self) -> SemiMetric:
         return SemiMetric("hellinger", weights=self.rule.weights)
 
-    def density_rows(self, block: np.ndarray, k: int) -> np.ndarray:
+    def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         g = block @ self.phi_grid[:, :k].T
         m = g.max(axis=1, keepdims=True)
         z = np.exp(g - m) @ self.rule.weights
         return np.exp(g - m - np.log(z)[:, None])
 
-    def center(self, draws) -> CenterPoint:
-        total = 0
-        acc = np.zeros(self.rule.nodes.size)
-        for k in sorted(draws.blocks):
-            block = draws.blocks[k]
-            acc += self.density_rows(block, k).sum(axis=0)
-            total += block.shape[0]
-        return CenterPoint(self.tag, "density", acc / total)
 
-    def center_embedding(self, center: CenterPoint) -> np.ndarray:
-        return center.values
-
-    def draw_distances(self, draws, center: CenterPoint) -> np.ndarray:
-        metric = self.metric()
-        parts = []
-        for k in sorted(draws.blocks):
-            parts.append(metric.distances(self.density_rows(draws.blocks[k], k), center.values))
-        return np.concatenate(parts)
-
-
-class Classification:
+class Classification(_RowEmbedded):
     """Fixed-design binary responses with the logistic link."""
 
     tag = "classification"
+    center_kind = "probability"
 
     def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = 64):
         self.design = midpoint_design(n, basis_tag=basis_tag, k_design=k_max)
@@ -547,26 +513,7 @@ class Classification:
         y = (rng.random(n) < self.truth_embedding(truth)).astype(float)
         return Dataset(self.tag, y, self.design, n, seed)
 
-    def log_likelihood(self, theta, data: Dataset) -> float:
-        if data.n == 0:
-            return 0.0
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        f = self.design.phi(theta.size) @ theta
-        return float(data.y @ f - np.logaddexp(0.0, f).sum())
-
-    def make_loglik(self, data: Dataset, k: int):
-        if data.n == 0:
-            return lambda theta: 0.0
-        phi = self.design.phi(k)
-        y = data.y
-
-        def loglik(theta):
-            f = phi @ theta
-            return float(y @ f - np.logaddexp(0.0, f).sum())
-
-        return loglik
-
-    def make_loglik_batch(self, data: Dataset, k: int):
+    def loglik(self, data: Dataset, k: int):
         if data.n == 0:
             return lambda thetas: np.zeros(thetas.shape[0])
         phi = self.design.phi(k)
@@ -578,22 +525,28 @@ class Classification:
 
         return loglik
 
-    def project(self, truth: TruthSpec, k: int) -> np.ndarray:
-        """Empirical KL projection: matches sum_i q(x_i) phi_j(x_i) to the truth."""
+    def loglik_derivs(self, data: Dataset, k: int):
         phi = self.design.phi(k)
-        q0 = self.truth_embedding(truth)
-        n = self.n
+        y = data.y
 
-        def objective(theta):
+        def derivs(theta):
             f = phi @ theta
             q = expit(f)
-            value = float(np.logaddexp(0.0, f).sum() - q0 @ f) / n
-            grad = phi.T @ (q - q0) / n
-            hess = (phi * (q * (1.0 - q))[:, None]).T @ phi / n
+            value = float(y @ f - np.logaddexp(0.0, f).sum())
+            grad = phi.T @ (y - q)
+            hess = -(phi * (q * (1.0 - q))[:, None]).T @ phi
             return value, grad, hess
 
-        theta, _ = damped_newton(objective, np.zeros(k))
-        return theta
+        return derivs
+
+    def project(self, truth: TruthSpec, k: int) -> np.ndarray:
+        """Empirical KL projection: matches sum_i q(x_i) phi_j(x_i) to the truth.
+
+        It maximizes the expected log-likelihood, which is the log-likelihood
+        of the fractional responses y_i = q_0(x_i).
+        """
+        expected = Dataset(self.tag, self.truth_embedding(truth), self.design, self.n)
+        return _maximize(self.loglik_derivs(expected, k), np.zeros(k), self.n)
 
     def q_values(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -606,27 +559,8 @@ class Classification:
     def metric(self) -> SemiMetric:
         return SemiMetric("empirical_hellinger")
 
-    def q_rows(self, block: np.ndarray, k: int) -> np.ndarray:
+    def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         return expit(block @ self.design.phi(k).T)
-
-    def center(self, draws) -> CenterPoint:
-        total = 0
-        acc = np.zeros(self.n)
-        for k in sorted(draws.blocks):
-            block = draws.blocks[k]
-            acc += self.q_rows(block, k).sum(axis=0)
-            total += block.shape[0]
-        return CenterPoint(self.tag, "probability", acc / total)
-
-    def center_embedding(self, center: CenterPoint) -> np.ndarray:
-        return center.values
-
-    def draw_distances(self, draws, center: CenterPoint) -> np.ndarray:
-        metric = self.metric()
-        parts = []
-        for k in sorted(draws.blocks):
-            parts.append(metric.distances(self.q_rows(draws.blocks[k], k), center.values))
-        return np.concatenate(parts)
 
 
 def make_family(tag: str, n: int | None = None, basis_tag: str = "trigonometric", **kwargs):

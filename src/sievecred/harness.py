@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -21,9 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .bias import BiasProfile, PolishedTailParams, bias_profile, check_polished_tail, tradeoff_set
-from .credible import CoverageRecord, wilson_interval
-from .families import make_family
+from .basis import BASIS_TAGS
+from .credible import CoverageRecord, credible_radius, wilson_interval
+from .families import FAMILY_TAGS, make_family
 from .inference import (
+    MARGINAL_METHODS,
     McmcSettings,
     k_posterior,
     marginal_table,
@@ -74,14 +77,27 @@ class ExperimentConfig:
         self.truth_coefficients = tuple(float(c) for c in self.truth_coefficients)
         if self.generator == "explicit" and not self.truth_coefficients:
             raise ValueError("explicit truths need truth_coefficients")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ValueError("n_grid must be ascending")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.mode not in ("hierarchical", "empirical", "both"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        checks = (
+            (self.family in FAMILY_TAGS, f"unknown family {self.family!r}"),
+            (self.basis in BASIS_TAGS, f"unknown basis {self.basis!r}"),
+            (self.marginal_method in MARGINAL_METHODS,
+             f"unknown marginal_method {self.marginal_method!r}"),
+            (self.mode in ("hierarchical", "empirical", "both"), f"unknown mode {self.mode!r}"),
+            (self.replicates >= 1, "replicates must be >= 1"),
+            (self.draws >= 1, "draws must be >= 1"),
+            (self.threads >= 1, "threads must be >= 1"),
+            (len(self.n_grid) > 0, "n_grid must not be empty"),
+            (all(n >= 2 for n in self.n_grid), "every n must be >= 2"),
+            (list(self.n_grid) == sorted(self.n_grid), "n_grid must be ascending"),
+            (len(self.L_grid) > 0, "L_grid must not be empty"),
+            (0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)"),
+            (self.mcmc_burn_in >= 0, "mcmc_burn_in must be >= 0"),
+            (self.mcmc_thin >= 1, "mcmc_thin must be >= 1"),
+            (all(M >= 1 for M in self.tradeoff_M), "every tradeoff_M must be >= 1"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(f"invalid config: {message}")
 
     @property
     def modes(self) -> tuple:
@@ -172,35 +188,22 @@ def _run_replicate(ctx: _Context, rep_id: int) -> dict:
     modes_out = {}
     for mode in cfg.modes:
         if mode == "empirical":
-            k_hat = mmle(table)
+            k_sel = mmle(table)
             draws = sample_given_k(
-                ctx.family,
-                ctx.prior.conditional,
-                data,
-                k_hat,
-                cfg.draws,
-                [cfg.seed, rep_id, 2],
-                mcmc=ctx.mcmc,
+                ctx.family, ctx.prior.conditional, data, k_sel, cfg.draws,
+                [cfg.seed, rep_id, 2], mcmc=ctx.mcmc,
             )
-            k_sel = k_hat
             mass = None
         else:
             draws = sample_hierarchical(
-                ctx.family,
-                ctx.prior,
-                data,
-                cfg.draws,
-                [cfg.seed, rep_id, 3],
-                mcmc=ctx.mcmc,
-                table=table,
+                ctx.family, ctx.prior, data, cfg.draws, [cfg.seed, rep_id, 3],
+                mcmc=ctx.mcmc, table=table,
             )
             kpost = k_posterior(table, ctx.prior.hyper)
             k_sel = kpost.mode()
             mass = {str(M): kpost.set_mass(ctx.tradeoff(M)) for M in cfg.tradeoff_M}
         center = posterior_center(draws, ctx.family)
-        distances = ctx.family.draw_distances(draws, center)
-        rank = min(max(math.ceil((1.0 - cfg.alpha) * distances.size), 1), distances.size)
-        r_alpha = float(np.partition(distances, rank - 1)[rank - 1])
+        r_alpha = credible_radius(draws, center, ctx.family, cfg.alpha)
         d = float(metric.distance(truth_emb, ctx.family.center_embedding(center)))
         modes_out[mode] = {
             "k": int(k_sel),
@@ -215,39 +218,82 @@ def _run_replicate(ctx: _Context, rep_id: int) -> dict:
 _WORKER_CTX: dict = {}
 
 
-def _worker(cfg_key: str, n: int, rep_id: int) -> dict:
+def _context(cfg_key: str, n: int) -> _Context:
+    """The per-process context of (config, n); only the latest one is kept."""
     key = (cfg_key, n)
-    ctx = _WORKER_CTX.get(key)
-    if ctx is None:
-        cfg = ExperimentConfig.from_dict(json.loads(cfg_key))
-        ctx = _Context(cfg, n)
+    if key not in _WORKER_CTX:
         _WORKER_CTX.clear()
-        _WORKER_CTX[key] = ctx
+        _WORKER_CTX[key] = _Context(ExperimentConfig.from_dict(json.loads(cfg_key)), n)
+    return _WORKER_CTX[key]
+
+
+def _worker(cfg_key: str, n: int, rep_id: int) -> dict:
+    ctx = _context(cfg_key, n)
     try:
         return _run_replicate(ctx, rep_id)
     except Exception as err:  # recorded, excluded, budgeted
         return {"replicate_id": rep_id, "n": n, "modes": {}, "error": f"{type(err).__name__}: {err}"}
 
 
-def _collect_replicates(cfg: ExperimentConfig) -> list[dict]:
+def _collect_replicates(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
+    """Run every (n, replicate) job: the results that succeeded, in order, and the errors.
+
+    Raises once more than ERROR_BUDGET of the replicates failed.
+    """
     jobs = [(n, rep) for n in cfg.n_grid for rep in range(1, cfg.replicates + 1)]
     cfg_key = cfg.cache_key()
-    if cfg.threads <= 1:
-        results = []
-        for n, rep in jobs:
-            results.append(_worker(cfg_key, n, rep))
+    if cfg.threads == 1:
+        results = [_worker(cfg_key, n, rep) for n, rep in jobs]
     else:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             futures = [pool.submit(_worker, cfg_key, n, rep) for n, rep in jobs]
             results = [f.result() for f in futures]
     results.sort(key=lambda r: (r["n"], r["replicate_id"]))
-    errors = [r for r in results if r["error"] is not None]
+    errors = [
+        {"n": r["n"], "replicate_id": r["replicate_id"], "error": r["error"]}
+        for r in results
+        if r["error"] is not None
+    ]
     if len(errors) > ERROR_BUDGET * len(results):
         raise RuntimeError(
             f"{len(errors)}/{len(results)} replicates failed, exceeding the "
             f"{ERROR_BUDGET:.0%} budget; first: {errors[0]['error']}"
         )
-    return results
+    return [r for r in results if r["error"] is None], errors
+
+
+COVERAGE_COLUMNS = (
+    "n", "mode", "L", "replicate_id", "covered", "d_truth_center", "r_alpha", "inflation",
+    "k_hat", "diameter",
+)
+
+
+def _write_report(out_dir, op: str, payload: dict, rows=None, columns=()) -> dict:
+    """Write `{op}_report.json` and, given rows, `{op}_replicates.csv`; return the paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {"json": os.path.join(out_dir, f"{op}_report.json")}
+    with open(paths["json"], "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True))
+    if rows is not None:
+        paths["csv"] = os.path.join(out_dir, f"{op}_replicates.csv")
+        with open(paths["csv"], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_csv_value(row[c]) for c in columns])
+    return paths
+
+
+def _csv_value(v):
+    if isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float):
+        return repr(v)
+    return v
+
+
+def _mean_or_none(values):
+    return float(np.mean(values)) if values else None
 
 
 @dataclass
@@ -266,148 +312,103 @@ class CoverageReport:
         raise KeyError(f"no cell matching {query}")
 
     def records(self, **query) -> list[CoverageRecord]:
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in query.items()):
-                out.append(
-                    CoverageRecord(
-                        replicate_id=row["replicate_id"],
-                        covered=row["covered"],
-                        d_truth_center=row["d_truth_center"],
-                        r_alpha=row["r_alpha"],
-                        inflation=row["inflation"],
-                        k_hat=row["k_hat"],
-                        diameter_proxy=row["diameter"],
-                    )
-                )
-        return out
+        return [
+            CoverageRecord(
+                replicate_id=row["replicate_id"],
+                covered=row["covered"],
+                d_truth_center=row["d_truth_center"],
+                r_alpha=row["r_alpha"],
+                inflation=row["inflation"],
+                k_hat=row["k_hat"],
+                diameter_proxy=row["diameter"],
+            )
+            for row in self.rows
+            if all(row.get(k) == v for k, v in query.items())
+        ]
+
+    def _payload(self) -> dict:
+        return {"op": self.op, "config": self.config, "cells": self.cells,
+                "errors": self.errors, **self.extras}
 
     def to_json(self) -> str:
-        payload = {
-            "op": self.op,
-            "config": self.config,
-            "cells": self.cells,
-            "errors": self.errors,
-            **self.extras,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self._payload(), sort_keys=True)
 
     def write(self, out_dir) -> dict:
-        os.makedirs(out_dir, exist_ok=True)
-        json_path = os.path.join(out_dir, f"{self.op}_report.json")
-        csv_path = os.path.join(out_dir, f"{self.op}_replicates.csv")
-        with open(json_path, "w") as fh:
-            fh.write(self.to_json())
-        columns = [
-            "n",
-            "mode",
-            "L",
-            "replicate_id",
-            "covered",
-            "d_truth_center",
-            "r_alpha",
-            "inflation",
-            "k_hat",
-            "diameter",
-        ]
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in self.rows:
-                writer.writerow([_csv_value(row[c]) for c in columns])
-        return {"json": json_path, "csv": csv_path}
+        return _write_report(out_dir, self.op, self._payload(), self.rows, COVERAGE_COLUMNS)
 
 
-def _csv_value(v):
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, float):
-        return repr(v)
-    return v
+def _coverage_experiment(op: str, cfg: ExperimentConfig, arms) -> CoverageReport:
+    """Coverage cells and rows per (n, arm). An arm is (mode, label, L as a function of n).
 
-
-def _arm_rows_and_cells(cfg: ExperimentConfig, results: list[dict], arms) -> tuple[list, list]:
-    """arms: list of (mode, arm_label, L_value, inflation_by_n)."""
+    The inflation of an arm is L sqrt(log n); vanishing-inflation ("negative")
+    cells also carry their m_n = L.
+    """
+    results, errors = _collect_replicates(cfg)
     rows, cells = [], []
     for n in cfg.n_grid:
-        per_n = [r for r in results if r["n"] == n and r["error"] is None]
-        for mode, label, L_value, inflation_fn in arms:
-            inflation = inflation_fn(n)
-            covered_flags, diam, khist = [], [], {}
-            in_k = {str(M): [] for M in cfg.tradeoff_M}
-            mass_k = {str(M): [] for M in cfg.tradeoff_M}
-            for r in per_n:
-                m = r["modes"].get(mode)
-                if m is None:
-                    continue
-                covered = m["d"] <= inflation * m["r_alpha"]
-                covered_flags.append(covered)
-                diam.append(2.0 * m["r_alpha"])
-                khist[m["k"]] = khist.get(m["k"], 0) + 1
-                for M in cfg.tradeoff_M:
-                    in_k[str(M)].append(m["in_K"][str(M)])
-                    if m["mass_K"] is not None:
-                        mass_k[str(M)].append(m["mass_K"][str(M)])
-                rows.append(
-                    {
-                        "n": n,
-                        "mode": label,
-                        "L": L_value,
-                        "replicate_id": r["replicate_id"],
-                        "covered": covered,
-                        "d_truth_center": m["d"],
-                        "r_alpha": m["r_alpha"],
-                        "inflation": inflation,
-                        "k_hat": m["k"],
-                        "diameter": 2.0 * m["r_alpha"],
-                    }
-                )
-            used = len(covered_flags)
-            coverage = float(np.mean(covered_flags)) if used else float("nan")
-            ci_lo, ci_hi = wilson_interval(int(np.sum(covered_flags)), used)
-            diam_arr = np.array(diam) if diam else np.array([np.nan])
-            cells.append(
-                {
+        for mode, label, L_of_n in arms:
+            L = L_of_n(n)
+            inflation = L * math.sqrt(math.log(n))
+            picked = [r for r in results if r["n"] == n and mode in r["modes"]]
+            arm_rows = []
+            for r in picked:
+                m = r["modes"][mode]
+                arm_rows.append({
                     "n": n,
                     "mode": label,
-                    "L": L_value,
-                    "coverage": coverage,
-                    "ci_lo": ci_lo,
-                    "ci_hi": ci_hi,
-                    "mean_diam": float(np.mean(diam_arr)),
-                    "diam_q10": float(np.quantile(diam_arr, 0.1)),
-                    "diam_q50": float(np.quantile(diam_arr, 0.5)),
-                    "diam_q90": float(np.quantile(diam_arr, 0.9)),
-                    "k_hist": {str(k): khist[k] for k in sorted(khist)},
-                    "frac_in_tradeoff": {
-                        M: (float(np.mean(flags)) if flags else None) for M, flags in in_k.items()
-                    },
-                    "mean_mass_in_tradeoff": {
-                        M: (float(np.mean(v)) if v else None) for M, v in mass_k.items()
-                    },
-                    "replicates_used": used,
-                }
-            )
-    return rows, cells
+                    "L": L,
+                    "replicate_id": r["replicate_id"],
+                    "covered": m["d"] <= inflation * m["r_alpha"],
+                    "d_truth_center": m["d"],
+                    "r_alpha": m["r_alpha"],
+                    "inflation": inflation,
+                    "k_hat": m["k"],
+                    "diameter": 2.0 * m["r_alpha"],
+                })
+            rows += arm_rows
+            arm_modes = [r["modes"][mode] for r in picked]
+            covered = [row["covered"] for row in arm_rows]
+            used = len(covered)
+            ci_lo, ci_hi = wilson_interval(int(np.sum(covered)), used)
+            diam = np.array([row["diameter"] for row in arm_rows]) if used else np.array([np.nan])
+            khist = Counter(m["k"] for m in arm_modes)
+            cell = {
+                "n": n,
+                "mode": label,
+                "L": L,
+                "coverage": float(np.mean(covered)) if used else float("nan"),
+                "ci_lo": ci_lo,
+                "ci_hi": ci_hi,
+                "mean_diam": float(np.mean(diam)),
+                "diam_q10": float(np.quantile(diam, 0.1)),
+                "diam_q50": float(np.quantile(diam, 0.5)),
+                "diam_q90": float(np.quantile(diam, 0.9)),
+                "k_hist": {str(k): khist[k] for k in sorted(khist)},
+                "frac_in_tradeoff": {
+                    str(M): _mean_or_none([m["in_K"][str(M)] for m in arm_modes])
+                    for M in cfg.tradeoff_M
+                },
+                "mean_mass_in_tradeoff": {
+                    str(M): _mean_or_none(
+                        [m["mass_K"][str(M)] for m in arm_modes if m["mass_K"] is not None]
+                    )
+                    for M in cfg.tradeoff_M
+                },
+                "replicates_used": used,
+            }
+            if label == "negative":
+                cell["m_n"] = L
+            cells.append(cell)
+    report = CoverageReport(op, cfg.to_dict(), cells, rows, errors)
+    if cfg.out_dir:
+        report.write(cfg.out_dir)
+    return report
 
 
 def run_coverage(config: ExperimentConfig) -> CoverageReport:
     """Coverage and size over (n, L, mode) cells; inflation is L sqrt(log n)."""
-    results = _collect_replicates(config)
-    arms = []
-    for mode in config.modes:
-        for L in config.L_grid:
-            arms.append((mode, mode, L, lambda n, L=L: L * math.sqrt(math.log(n))))
-    rows, cells = _arm_rows_and_cells(config, results, arms)
-    errors = [
-        {"n": r["n"], "replicate_id": r["replicate_id"], "error": r["error"]}
-        for r in results
-        if r["error"] is not None
-    ]
-    report = CoverageReport("coverage", config.to_dict(), cells, rows, errors)
-    if config.out_dir:
-        report.write(config.out_dir)
-    return report
+    arms = [(mode, mode, lambda n, L=L: L) for mode in config.modes for L in config.L_grid]
+    return _coverage_experiment("coverage", config, arms)
 
 
 def run_negative(config: ExperimentConfig) -> CoverageReport:
@@ -418,33 +419,11 @@ def run_negative(config: ExperimentConfig) -> CoverageReport:
     if cond not in ("gaussian", "laplace"):
         raise ValueError("negative run requires a gaussian or laplace conditional prior")
     cfg = ExperimentConfig.from_dict({**config.to_dict(), "mode": "empirical"})
-    results = _collect_replicates(cfg)
-    expo = cfg.m_n_exponent
-
-    def m_n(n):
-        return math.log(n) ** expo
-
     arms = [
-        ("empirical", "negative", float("nan"), lambda n: m_n(n) * math.sqrt(math.log(n))),
-        ("empirical", "control", cfg.control_L, lambda n: cfg.control_L * math.sqrt(math.log(n))),
+        ("empirical", "negative", lambda n: math.log(n) ** cfg.m_n_exponent),
+        ("empirical", "control", lambda n: cfg.control_L),
     ]
-    rows, cells = _arm_rows_and_cells(cfg, results, arms)
-    for row in rows:
-        if row["mode"] == "negative":
-            row["L"] = m_n(row["n"])
-    for cell in cells:
-        if cell["mode"] == "negative":
-            cell["L"] = m_n(cell["n"])
-            cell["m_n"] = m_n(cell["n"])
-    errors = [
-        {"n": r["n"], "replicate_id": r["replicate_id"], "error": r["error"]}
-        for r in results
-        if r["error"] is not None
-    ]
-    report = CoverageReport("negative", cfg.to_dict(), cells, rows, errors)
-    if cfg.out_dir:
-        report.write(cfg.out_dir)
-    return report
+    return _coverage_experiment("negative", cfg, arms)
 
 
 def fit_rate(ns, mean_log_diams):
@@ -468,101 +447,65 @@ def run_rate(config: ExperimentConfig) -> dict:
         raise ValueError("rate check needs at least 3 sample sizes")
     mode = "empirical" if config.mode == "both" else config.mode
     cfg = ExperimentConfig.from_dict({**config.to_dict(), "mode": mode})
-    results = _collect_replicates(cfg)
+    results, _ = _collect_replicates(cfg)
     points = []
     for n in cfg.n_grid:
-        logs = [
-            math.log(2.0 * r["modes"][mode]["r_alpha"])
-            for r in results
-            if r["n"] == n and r["error"] is None
-        ]
+        logs = [math.log(2.0 * r["modes"][mode]["r_alpha"]) for r in results if r["n"] == n]
         points.append({"n": n, "mean_log_diam": float(np.mean(logs)), "replicates": len(logs)})
     slope, se = fit_rate([p["n"] for p in points], [p["mean_log_diam"] for p in points])
-    target = -cfg.beta / (1.0 + 2.0 * cfg.beta)
     report = {
         "op": "rate",
         "config": cfg.to_dict(),
         "mode": mode,
         "slope": slope,
         "stderr": se,
-        "target": target,
+        "target": -cfg.beta / (1.0 + 2.0 * cfg.beta),
         "points": points,
     }
     if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(os.path.join(cfg.out_dir, "rate_report.json"), "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True))
+        _write_report(cfg.out_dir, "rate", report)
     return report
 
 
 def run_diagnostics(config: ExperimentConfig) -> dict:
     """Model-selection localization and the truth's tail diagnostics."""
-    results = _collect_replicates(config)
+    results, errors = _collect_replicates(config)
+    cfg_key = config.cache_key()
     per_n = {}
     for n in config.n_grid:
-        ctx = _Context(config, n)
+        ctx = _context(cfg_key, n)
         per_n[str(n)] = {
             "k_n": ctx.profile.k_n,
             "k_n_beyond_range": ctx.profile.beyond_range,
             "polished_tail": ctx.tail_verdict(),
             "tradeoff_sets": {str(M): sorted(ctx.tradeoff(M)) for M in config.tradeoff_M},
         }
-    per_mode: dict = {}
-    rows = []
-    for r in results:
-        if r["error"] is not None:
-            continue
-        for mode, m in r["modes"].items():
-            stats = per_mode.setdefault(
-                mode,
-                {
-                    "k_hist": {},
-                    "in_K": {str(M): [] for M in config.tradeoff_M},
-                    "mass_K": {str(M): [] for M in config.tradeoff_M},
-                },
-            )
-            stats["k_hist"][m["k"]] = stats["k_hist"].get(m["k"], 0) + 1
-            for M in config.tradeoff_M:
-                stats["in_K"][str(M)].append(m["in_K"][str(M)])
-                if m["mass_K"] is not None:
-                    stats["mass_K"][str(M)].append(m["mass_K"][str(M)])
-            rows.append(
-                {
-                    "n": r["n"],
-                    "mode": mode,
-                    "replicate_id": r["replicate_id"],
-                    "k_hat": m["k"],
-                    **{f"in_K_{M}": m["in_K"][str(M)] for M in config.tradeoff_M},
-                }
-            )
-    mode_summaries = {}
-    for mode, stats in per_mode.items():
-        mode_summaries[mode] = {
-            "k_hist": {str(k): stats["k_hist"][k] for k in sorted(stats["k_hist"])},
-            "frac_in_tradeoff": {M: float(np.mean(v)) for M, v in stats["in_K"].items() if v},
+    Ms = [str(M) for M in config.tradeoff_M]
+    columns = ["n", "mode", "replicate_id", "k_hat", *(f"in_K_{M}" for M in config.tradeoff_M)]
+    rows = [
+        dict(zip(columns, [r["n"], mode, r["replicate_id"], m["k"], *(m["in_K"][M] for M in Ms)]))
+        for r in results
+        for mode, m in r["modes"].items()
+    ]
+    modes = {}
+    for mode in dict.fromkeys(row["mode"] for row in rows):
+        picked = [r["modes"][mode] for r in results if mode in r["modes"]]
+        khist = Counter(m["k"] for m in picked)
+        modes[mode] = {
+            "k_hist": {str(k): khist[k] for k in sorted(khist)},
+            "frac_in_tradeoff": {M: _mean_or_none([m["in_K"][M] for m in picked]) for M in Ms},
             "mean_mass_in_tradeoff": {
-                M: (float(np.mean(v)) if v else None) for M, v in stats["mass_K"].items()
+                M: _mean_or_none([m["mass_K"][M] for m in picked if m["mass_K"] is not None])
+                for M in Ms
             },
         }
     report = {
         "op": "diagnostics",
         "config": config.to_dict(),
         "per_n": per_n,
-        "modes": mode_summaries,
-        "errors": [
-            {"n": r["n"], "replicate_id": r["replicate_id"], "error": r["error"]}
-            for r in results
-            if r["error"] is not None
-        ],
+        "modes": modes,
+        "errors": errors,
     }
     if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, "diagnostics_report.json"), "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True))
-        with open(os.path.join(config.out_dir, "diagnostics_replicates.csv"), "w", newline="") as fh:
-            if rows:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow({k: _csv_value(v) for k, v in row.items()})
+        _write_report(config.out_dir, "diagnostics", report, rows, columns)
     return report

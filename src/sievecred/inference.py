@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import gammaln, logsumexp
 
 from .families import CenterPoint, Dataset
 from .mcmc import McmcSettings, adaptive_rwm
@@ -34,6 +34,8 @@ CONJUGATE_EXACT = "conjugate_exact"
 DIRICHLET_EXACT = "dirichlet_exact"
 LAPLACE_APPROX = "laplace_approx"
 IMPORTANCE_SAMPLING = "importance_sampling"
+
+MARGINAL_METHODS = ("auto", "conjugate", "dirichlet", "laplace", "importance")
 
 _ABS_SMOOTHING = 1e-8  # softened |x| used only inside Newton for laplace priors
 
@@ -119,6 +121,15 @@ class KPosterior:
 # exact evidence formulas
 
 
+def _exact_route(family, prior: ConditionalPrior) -> Optional[str]:
+    """'conjugate' or 'dirichlet' where the posterior given k is exact, else None."""
+    if family.tag == "regression" and prior.kind == "product" and prior.g.base == "gaussian":
+        return "conjugate"
+    if family.tag == "histogram" and prior.kind == "dirichlet":
+        return "dirichlet"
+    return None
+
+
 def _regression_conjugate(family, g, data: Dataset, k: int):
     """Posterior (mean, cholesky-of-precision) and evidence for gaussian priors."""
     tau2 = g.scale**2
@@ -159,42 +170,9 @@ def _dirichlet_log_m(family, prior: ConditionalPrior, data: Dataset, k: int) -> 
 
 def _neg_log_post_parts(family, g, data: Dataset, k: int):
     """Callable theta -> (value, grad, hess) of -(loglik + logprior), unscaled."""
-    tag = family.tag
-    if tag == "regression":
-        phi = family.design.phi(k)
-        gram = phi.T @ phi
-        phi_y = phi.T @ data.y
-        yy = float(data.y @ data.y)
-        const = -0.5 * data.n * _LOG2PI
-
-        def lik_parts(theta):
-            grad = phi_y - gram @ theta
-            value = const - 0.5 * (yy - 2.0 * float(theta @ phi_y) + float(theta @ gram @ theta))
-            return value, grad, -gram
-
-    elif tag == "loglinear":
-        t_stats = family.suff_stats(data, k)
-        n = data.n
-
-        def lik_parts(theta):
-            c, mean, cov = family.log_norm_parts(theta)
-            value = float(theta @ t_stats) - n * c
-            return value, t_stats - n * mean, -n * cov
-
-    elif tag == "classification":
-        phi = family.design.phi(k)
-        y = data.y
-
-        def lik_parts(theta):
-            f = phi @ theta
-            q = expit(f)
-            value = float(y @ f - np.logaddexp(0.0, f).sum())
-            grad = phi.T @ (y - q)
-            hess = -(phi * (q * (1.0 - q))[:, None]).T @ phi
-            return value, grad, hess
-
-    else:
-        raise ValueError(f"laplace route not available for family {tag!r}")
+    if not hasattr(family, "loglik_derivs"):
+        raise ValueError(f"laplace route not available for family {family.tag!r}")
+    lik_parts = family.loglik_derivs(data, k)
 
     if g.base == "gaussian":
         s2 = g.scale**2
@@ -235,8 +213,8 @@ def _laplace_fit(family, g, data: Dataset, k: int):
     value, _, hess = parts(mode)
     chol = np.linalg.cholesky(hess)
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    loglik = family.make_loglik(data, k)
-    exact_value = loglik(mode) + log_prior_density(ConditionalPrior("product", g=g), mode)
+    prior = ConditionalPrior("product", g=g)
+    exact_value = family.loglik(data, k)(mode[None, :])[0] + log_prior_density(prior, mode)
     log_m = exact_value + 0.5 * k * _LOG2PI - 0.5 * log_det
     return mode, chol, float(log_m), info
 
@@ -244,7 +222,7 @@ def _laplace_fit(family, g, data: Dataset, k: int):
 def _importance_product(family, g, data, k, mode, chol, particles, ess_floor, rng):
     """IS evidence using N(mode, H^-1 scale^2) as proposal; retries once wider."""
     prior = ConditionalPrior("product", g=g)
-    loglik = family.make_loglik_batch(data, k)
+    loglik = family.loglik(data, k)
     log_det_h = 2.0 * float(np.log(np.diag(chol)).sum())
     for scale in (1.0, 2.0):
         z = rng.standard_normal((particles, k))
@@ -266,7 +244,7 @@ def _importance_dirichlet(family, prior, data, k, particles, ess_floor, rng):
     """IS evidence for histograms with a flattened-posterior Dirichlet proposal."""
     alphas = prior.alphas(k)
     counts = family.counts(data, k)
-    loglik = family.make_loglik_batch(data, k)
+    loglik = family.loglik(data, k)
     for flatten in (0.5, 0.25):
         nu = flatten * (alphas + counts) + (1.0 - flatten)
         thetas = rng.dirichlet(nu, size=particles)
@@ -313,13 +291,8 @@ def marginal_likelihood(
     the argmax and in the posterior over k.
     """
     if method == "auto":
-        if family.tag == "regression" and prior.kind == "product" and prior.g.base == "gaussian":
-            method = "conjugate"
-        elif family.tag == "histogram" and prior.kind == "dirichlet":
-            method = "dirichlet"
-        elif prior.kind == "product":
-            method = "laplace"
-        else:
+        method = _exact_route(family, prior) or ("laplace" if prior.kind == "product" else None)
+        if method is None:
             raise ValueError(f"no marginal likelihood route for {family.tag} + {prior.kind}")
     if data.n == 0:
         name = {
@@ -403,15 +376,16 @@ def sample_given_k(
     """Exact draws where conjugacy allows, preconditioned RWM otherwise."""
     rng = np.random.default_rng(_seed_list(seed))
     ks = np.full(count, k, dtype=int)
+    route = _exact_route(family, prior)
     if data.n == 0:
         block = sample_prior(prior, k, count, rng)
         diag = {"sampler": "prior"}
-    elif family.tag == "regression" and prior.kind == "product" and prior.g.base == "gaussian":
+    elif route == "conjugate":
         mean, chol, _ = _regression_conjugate(family, prior.g, data, k)
         z = rng.standard_normal((count, k))
         block = mean + np.linalg.solve(chol.T, z.T).T
         diag = {"sampler": "conjugate"}
-    elif family.tag == "histogram" and prior.kind == "dirichlet":
+    elif route == "dirichlet":
         block = rng.dirichlet(prior.alphas(k) + family.counts(data, k), size=count)
         diag = {"sampler": "dirichlet"}
     elif prior.kind == "product":
@@ -420,10 +394,10 @@ def sample_given_k(
         mode, chol, _, _ = _laplace_fit(family, prior.g, data, k)
         # proposal covariance = inverse curvature at the mode
         cov_chol = np.linalg.inv(chol).T
-        loglik = family.make_loglik(data, k)
+        loglik = family.loglik(data, k)
 
         def log_target(theta):
-            return loglik(theta) + log_prior_density(prior, theta)
+            return loglik(theta[None, :])[0] + log_prior_density(prior, theta)
 
         block, diag = adaptive_rwm(log_target, mode, cov_chol, settings, rng)
         diag["sampler"] = "rwm"
@@ -452,12 +426,7 @@ def sample_hierarchical(
     probs /= probs.sum()
     rng = np.random.default_rng(base + [104729])
     ks = rng.choice(support, size=count, p=probs)
-    exact = (
-        data.n == 0
-        or (family.tag == "regression" and prior.conditional.kind == "product"
-            and prior.conditional.g.base == "gaussian")
-        or (family.tag == "histogram" and prior.conditional.kind == "dirichlet")
-    )
+    exact = data.n == 0 or _exact_route(family, prior.conditional) is not None
     min_chain = 1 if exact else 256  # short MCMC chains mix and diagnose poorly
     blocks: dict[int, np.ndarray] = {}
     samplers = {}

@@ -111,10 +111,10 @@ def test_criterion_03_mcmc_and_laplace_validation():
     cov = np.linalg.inv(prec)
 
     mode, chol, _, _ = _laplace_fit(fam, prior.g, data, k)
-    loglik = fam.make_loglik(data, k)
+    loglik = fam.loglik(data, k)
 
     def log_target(theta):
-        return loglik(theta) + log_prior_density(prior, theta)
+        return loglik(theta[None, :])[0] + log_prior_density(prior, theta)
 
     chain, diag = adaptive_rwm(
         log_target, mode, np.linalg.inv(chol).T, McmcSettings(burn_in=5000, keep=20000),

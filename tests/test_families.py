@@ -321,6 +321,6 @@ def test_bias_equals_metric_distance_to_projection(reg500, loglin_family, classi
     # histogram: per-cell exact integral vs the shared-grid quadrature
     truth = generate_truth("self_similar", beta=1.0, seed=31, family_tag="histogram")
     theta = hist_family.project(truth, 5)
-    emb = hist_family.density_rows(theta[None, :], 5)[0]
+    emb = hist_family.embedding_rows(theta[None, :], 5)[0]
     d2 = hist_family.metric().distance(hist_family.truth_embedding(truth), emb) ** 2
     assert hist_family.bias_sq(truth, 5) == pytest.approx(d2, abs=2e-3)

@@ -36,6 +36,23 @@ def test_config_validation():
         ExperimentConfig(mode="plugin")
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"familly": "regression"})
+    bad_values = [
+        {"draws": 0},
+        {"threads": 0},
+        {"threads": -1},
+        {"L_grid": ()},
+        {"n_grid": ()},
+        {"n_grid": (1, 200)},
+        {"mcmc_burn_in": -5},
+        {"mcmc_thin": 0},
+        {"tradeoff_M": (0.5,)},
+        {"family": "poisson"},
+        {"basis": "wavelet"},
+        {"marginal_method": "nope"},
+    ]
+    for bad in bad_values:
+        with pytest.raises(ValueError, match="invalid config"):
+            ExperimentConfig(**bad)
 
 
 def test_config_json_roundtrip(tmp_path):

@@ -253,10 +253,10 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     from sievecred.priors import log_prior_density
 
     mode, chol, _, _ = _laplace_fit(reg500, gaussian_prior().g, data, k)
-    loglik = reg500.make_loglik(data, k)
+    loglik = reg500.loglik(data, k)
 
     def log_target(theta):
-        return loglik(theta) + log_prior_density(gaussian_prior(), theta)
+        return loglik(theta[None, :])[0] + log_prior_density(gaussian_prior(), theta)
 
     rng = np.random.default_rng(11)
     chain, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, McmcSettings(
