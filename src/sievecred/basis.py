@@ -68,6 +68,7 @@ class DesignGrid:
     k_design: int
     c0: float
     _phi: np.ndarray = field(repr=False)
+    _products: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -80,9 +81,16 @@ class DesignGrid:
             )
         return self._phi[:, :k]
 
+    def phi_gram(self, k: int) -> np.ndarray:
+        """Phi_k' Phi_k, read-only, computed once per k (a larger k's block differs in bits)."""
+        if k not in self._products:
+            p = self.phi(k)
+            self._products[k] = p.T @ p
+            self._products[k].flags.writeable = False
+        return self._products[k]
+
     def gram(self, k: int) -> np.ndarray:
-        p = self.phi(k)
-        return p.T @ p / self.n
+        return self.phi_gram(k) / self.n
 
 
 def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> DesignGrid:

@@ -140,6 +140,24 @@ def check_polished_tail(profile: BiasProfile, params: PolishedTailParams) -> Pol
     return PolishedTailReport(holds=True)
 
 
+def polished_tail_verdict(truth, family, profile: BiasProfile, params: PolishedTailParams) -> dict:
+    """check_polished_tail as a report entry, after extending the profile to k_n r0 if short.
+
+    {"holds", "first_violation"}, or {"holds": None, "error"} when the check cannot be made.
+    """
+    try:
+        if profile.k_n is not None and profile.k_n * params.r0 > profile.k_max:
+            k_max = min(profile.k_n * params.r0, family.max_k)
+            values = dict(profile.values)
+            for k in range(profile.k_max + 1, k_max + 1):
+                values[k] = family.bias_sq(truth, k)
+            profile = BiasProfile(values=values, n=profile.n, k_max=k_max)
+        report = check_polished_tail(profile, params)
+        return {"holds": report.holds, "first_violation": report.first_violation}
+    except ValueError as err:
+        return {"holds": None, "error": str(err)}
+
+
 def check_bias_sandwich(profile: BiasProfile, A0: float, k0: int) -> bool:
     """True iff every k < k0 dominates some b(k') with k' in [k0, A0 k0]."""
     if A0 <= 1:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .bias import PolishedTailParams, bias_profile, check_polished_tail
+from .bias import PolishedTailParams, bias_profile, polished_tail_verdict
 from .credible import build_ball, covers, diameter_proxy
 from .families import make_family
 from .harness import ExperimentConfig, run_coverage, run_diagnostics, run_negative, run_rate
@@ -75,12 +75,7 @@ def cmd_bias(args):
         fh.write(profile.to_json())
     summary = {"k_n": profile.k_n, "beyond_range": profile.beyond_range}
     params = PolishedTailParams(r0=args.r0, k0=args.k0, tau=args.tau)
-    try:
-        report = check_polished_tail(profile, params)
-        summary["polished_tail"] = {"holds": report.holds,
-                                    "first_violation": report.first_violation}
-    except ValueError as err:
-        summary["polished_tail"] = {"holds": None, "error": str(err)}
+    summary["polished_tail"] = polished_tail_verdict(truth, family, profile, params)
     print(json.dumps(summary))
     return 0
 
@@ -156,27 +151,18 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def cmd_coverage(args):
-    report = run_coverage(_load_config(args))
-    print(json.dumps({"cells": report.cells}, sort_keys=True))
-    return 0
+# harness subcommand -> (experiment, the part of its report printed to stdout)
+_EXPERIMENTS = {
+    "coverage": (run_coverage, lambda report: {"cells": report.cells}),
+    "negative": (run_negative, lambda report: {"cells": report.cells}),
+    "rate": (run_rate, lambda report: {k: report[k] for k in ("slope", "stderr", "target")}),
+    "diagnostics": (run_diagnostics, lambda report: {"per_n": report["per_n"]}),
+}
 
 
-def cmd_negative(args):
-    report = run_negative(_load_config(args))
-    print(json.dumps({"cells": report.cells}, sort_keys=True))
-    return 0
-
-
-def cmd_rate(args):
-    report = run_rate(_load_config(args))
-    print(json.dumps({k: report[k] for k in ("slope", "stderr", "target")}, sort_keys=True))
-    return 0
-
-
-def cmd_diagnostics(args):
-    report = run_diagnostics(_load_config(args))
-    print(json.dumps({"per_n": report["per_n"]}, sort_keys=True))
+def cmd_experiment(args):
+    run, summary = _EXPERIMENTS[args.command]
+    print(json.dumps(summary(run(_load_config(args))), sort_keys=True))
     return 0
 
 
@@ -216,18 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=1000)
     p.set_defaults(func=cmd_credible)
 
-    for name, fn in (
-        ("coverage", cmd_coverage),
-        ("negative", cmd_negative),
-        ("rate", cmd_rate),
-        ("diagnostics", cmd_diagnostics),
-    ):
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment from a config")
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None)
         p.add_argument("--threads", type=int, default=None)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_experiment)
 
     return parser
 

@@ -9,20 +9,23 @@ smooth families. Histogram, log-linear and classification embed theta rows
 through one `embedding_rows(block, k)` method, over which centers and draw
 distances are shared. Density families (histogram, log-linear) share a fixed
 quadrature grid; design families (regression, classification) are bound to a
-midpoint design of size n.
+midpoint design of size n. What depends only on the truth (its embedding, CDF
+table, normalizer, histogram cell integrals) is computed once per truth and
+kept in the family's memo.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
 from .basis import DesignGrid, basis_matrix, eval_series, midpoint_design
-from .metrics import SemiMetric, hellinger_hist_vs_density, hist_cell_integrals
+from .metrics import SemiMetric, hellinger_hist_vs_cells, hist_cell_integrals
 from .optimize import damped_newton
 from .quadrature import DEFAULT_RULE, QuadratureRule
 from .truths import TruthSpec
@@ -75,14 +78,6 @@ def _simplex_check(theta: np.ndarray):
         raise ValueError("histogram parameter does not sum to one")
 
 
-def _inverse_cdf_sample(density_values: np.ndarray, grid: np.ndarray, n: int, rng):
-    # piecewise-linear CDF table, inverted by interpolation
-    increments = 0.5 * (density_values[1:] + density_values[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(increments)])
-    cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, grid)
-
-
 def _maximize(derivs, x0, n: int = 1) -> np.ndarray:
     """argmax of an expected log-likelihood, by damped Newton on its negative / n."""
 
@@ -95,10 +90,45 @@ def _maximize(derivs, x0, n: int = 1) -> np.ndarray:
 
 
 class _Family:
+    design: Optional[DesignGrid] = None
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def _once(self, key, compute):
+        """`compute()`, run once per key and kept on the family."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def _per_truth(self, truth: TruthSpec, name, compute):
+        """`_once` for a quantity of one truth, keyed by its coefficients."""
+        return self._once((truth.coefficients.tobytes(), name), compute)
+
+    def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
+        if truth.family_tag != self.tag:
+            raise ValueError(f"truth is for family {truth.family_tag!r}, not {self.tag!r}")
+        if self.design is not None and n != self.n:
+            raise ValueError(f"family was built for n={self.n}, got {n}")
+        y = self._draw(truth, n, np.random.default_rng(seed))
+        return Dataset(self.tag, y, self.design, n, seed)
+
     def log_likelihood(self, theta, data: Dataset) -> float:
         """log-likelihood of one parameter vector, through the batched `loglik`."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         return float(self.loglik(data, theta.size)(theta[None, :])[0])
+
+
+class _OnDesign(_Family):
+    """A family bound to a fixed design of size n."""
+
+    @property
+    def n(self) -> int:
+        return self.design.n
+
+    @property
+    def max_k(self) -> int:
+        return self.design.k_design
 
 
 class _RowEmbedded(_Family):
@@ -126,49 +156,62 @@ class _RowEmbedded(_Family):
         ])
 
 
-class Regression(_Family):
+class _Density(_RowEmbedded):
+    """A density on [0, 1]: embedded on a quadrature grid, simulated by inverse CDF."""
+
+    def __init__(
+        self,
+        rule: QuadratureRule = DEFAULT_RULE,
+        basis_tag: str = "trigonometric",
+        cdf_cells: int = 4096,
+        max_k: int = 128,
+    ):
+        super().__init__()
+        self.rule = rule
+        self.basis_tag = basis_tag
+        self.cdf_cells = cdf_cells
+        self.max_k = max_k
+
+    def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
+        grid = np.linspace(0.0, 1.0, self.cdf_cells + 1)
+
+        def cdf_table():
+            # piecewise-linear CDF of the truth on the grid, inverted by interpolation
+            pdf = self._density_on(truth, grid)
+            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+            return cdf / cdf[-1]
+
+        return np.interp(rng.random(n), self._per_truth(truth, "cdf_table", cdf_table), grid)
+
+    def metric(self) -> SemiMetric:
+        return SemiMetric("hellinger", weights=self.rule.weights)
+
+
+class Regression(_OnDesign):
     """Fixed-design Gaussian regression, unit noise."""
 
     tag = "regression"
 
     def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = 64,
                  design: Optional[DesignGrid] = None):
+        super().__init__()
         self.design = design if design is not None else midpoint_design(
             n, basis_tag=basis_tag, k_design=k_max
         )
         self.basis_tag = self.design.basis_tag
-        self._truth_cache: dict[bytes, np.ndarray] = {}
-
-    @property
-    def n(self) -> int:
-        return self.design.n
-
-    @property
-    def max_k(self) -> int:
-        return self.design.k_design
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        key = truth.coefficients.tobytes()
-        if key not in self._truth_cache:
-            self._truth_cache[key] = eval_series(
-                self.design.points, truth.coefficients, self.basis_tag
-            )
-        return self._truth_cache[key]
+        return self._per_truth(truth, "design", lambda: eval_series(
+            self.design.points, truth.coefficients, self.basis_tag
+        ))
 
-    def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
-        if truth.family_tag != self.tag:
-            raise ValueError(
-                f"truth is for family {truth.family_tag!r}, not {self.tag!r}"
-            )
-        if n != self.n:
-            raise ValueError(f"family was built for n={self.n}, got {n}")
-        rng = np.random.default_rng(seed)
-        y = self.truth_embedding(truth) + rng.standard_normal(n)
-        return Dataset(self.tag, y, self.design, n, seed)
+    def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
+        return self.truth_embedding(truth) + rng.standard_normal(n)
 
     def _quadratic(self, data: Dataset, k: int):
-        phi = self.design.phi(k)
-        return phi.T @ phi, phi.T @ data.y, float(data.y @ data.y), -0.5 * data.n * _LOG2PI
+        """(Phi'Phi, Phi'y, y'y, -n/2 log 2 pi): the log-likelihood is a quadratic in these."""
+        phi_y = self.design.phi(k).T @ data.y
+        return self.design.phi_gram(k), phi_y, float(data.y @ data.y), -0.5 * data.n * _LOG2PI
 
     def loglik(self, data: Dataset, k: int):
         if data.n == 0:
@@ -191,10 +234,9 @@ class Regression(_Family):
         return derivs
 
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
-        phi = self.design.phi(k)
         f0 = self.truth_embedding(truth)
         try:
-            return np.linalg.solve(phi.T @ phi, phi.T @ f0)
+            return np.linalg.solve(self.design.phi_gram(k), self.design.phi(k).T @ f0)
         except np.linalg.LinAlgError as err:
             raise ValueError(f"singular normal equations at k={k}") from err
 
@@ -235,25 +277,10 @@ class Regression(_Family):
         return np.concatenate(parts)
 
 
-class Histogram(_RowEmbedded):
+class Histogram(_Density):
     """Regular-bin random histograms for density estimation on [0, 1]."""
 
     tag = "histogram"
-
-    def __init__(
-        self,
-        rule: QuadratureRule = DEFAULT_RULE,
-        basis_tag: str = "trigonometric",
-        cdf_cells: int = 4096,
-        max_k: int = 128,
-    ):
-        self.rule = rule
-        self.basis_tag = basis_tag
-        self.cdf_cells = cdf_cells
-        self.max_k = max_k
-        self._truth_cache: dict[bytes, np.ndarray] = {}
-        self._pdf_cache: dict[bytes, np.ndarray] = {}
-        self._cells_cache: dict[int, np.ndarray] = {}
 
     def density_fn(self, truth: TruthSpec):
         coeffs = truth.coefficients
@@ -263,28 +290,11 @@ class Histogram(_RowEmbedded):
 
         return p0
 
+    def _density_on(self, truth: TruthSpec, x: np.ndarray) -> np.ndarray:
+        return np.clip(self.density_fn(truth)(x), 0.0, None)
+
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        key = truth.coefficients.tobytes()
-        if key not in self._truth_cache:
-            self._truth_cache[key] = np.clip(self.density_fn(truth)(self.rule.nodes), 0.0, None)
-        return self._truth_cache[key]
-
-    def _pdf_table(self, truth: TruthSpec) -> np.ndarray:
-        key = truth.coefficients.tobytes()
-        if key not in self._pdf_cache:
-            grid = np.linspace(0.0, 1.0, self.cdf_cells + 1)
-            self._pdf_cache[key] = np.clip(self.density_fn(truth)(grid), 0.0, None)
-        return self._pdf_cache[key]
-
-    def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
-        if truth.family_tag != self.tag:
-            raise ValueError(
-                f"truth is for family {truth.family_tag!r}, not {self.tag!r}"
-            )
-        rng = np.random.default_rng(seed)
-        grid = np.linspace(0.0, 1.0, self.cdf_cells + 1)
-        y = _inverse_cdf_sample(self._pdf_table(truth), grid, n, rng)
-        return Dataset(self.tag, y, None, n, seed)
+        return self._per_truth(truth, "nodes", lambda: self._density_on(truth, self.rule.nodes))
 
     def counts(self, data: Dataset, k: int) -> np.ndarray:
         if data.n == 0:
@@ -311,22 +321,24 @@ class Histogram(_RowEmbedded):
 
         return loglik
 
+    def _cell_integrals(self, truth: TruthSpec, k: int):
+        """(int p0, int sqrt p0) over each of k regular bins, once per k."""
+        return self._per_truth(
+            truth, ("cells", k), lambda: hist_cell_integrals(self.density_fn(truth), k)
+        )
+
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
-        cells, _ = hist_cell_integrals(self.density_fn(truth), k)
-        cells = np.clip(cells, 0.0, None)
+        cells = np.clip(self._cell_integrals(truth, k)[0], 0.0, None)
         return cells / cells.sum()
 
     def bias_sq(self, truth: TruthSpec, k: int) -> float:
         theta = self.project(truth, k)
-        return hellinger_hist_vs_density(theta, self.density_fn(truth)) ** 2
-
-    def metric(self) -> SemiMetric:
-        return SemiMetric("hellinger", weights=self.rule.weights)
+        return hellinger_hist_vs_cells(theta, *self._cell_integrals(truth, k)) ** 2
 
     def node_cells(self, k: int) -> np.ndarray:
-        if k not in self._cells_cache:
-            self._cells_cache[k] = np.minimum((self.rule.nodes * k).astype(int), k - 1)
-        return self._cells_cache[k]
+        return self._once(
+            ("node_cells", k), lambda: np.minimum((self.rule.nodes * k).astype(int), k - 1)
+        )
 
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         return k * block[:, self.node_cells(k)]
@@ -347,25 +359,14 @@ class Histogram(_RowEmbedded):
         return super().draw_distances(draws, center)
 
 
-class LogLinear(_RowEmbedded):
+class LogLinear(_Density):
     """Exponential-family densities exp(sum_j theta_j phi_j - c(theta)) on [0, 1]."""
 
     tag = "loglinear"
 
-    def __init__(
-        self,
-        rule: QuadratureRule = DEFAULT_RULE,
-        basis_tag: str = "trigonometric",
-        cdf_cells: int = 4096,
-        max_k: int = 128,
-    ):
-        self.rule = rule
-        self.basis_tag = basis_tag
-        self.cdf_cells = cdf_cells
-        self.max_k = max_k
-        self.phi_grid = basis_matrix(rule.nodes, max_k, basis_tag)
-        self._truth_cache: dict[bytes, np.ndarray] = {}
-        self._pdf_cache: dict[bytes, np.ndarray] = {}
+    @cached_property
+    def phi_grid(self) -> np.ndarray:
+        return basis_matrix(self.rule.nodes, self.max_k, self.basis_tag)
 
     def _log_norm_values(self, g: np.ndarray) -> float:
         m = float(g.max())
@@ -394,34 +395,24 @@ class LogLinear(_RowEmbedded):
     def density_values(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         g = self.phi_grid[:, : theta.size] @ theta
-        return np.exp(g - self.log_norm(theta))
+        return np.exp(g - self._log_norm_values(g))
+
+    def _truth_on_nodes(self, truth: TruthSpec):
+        """(density on the quadrature nodes, its log-normalizer c0), from one series evaluation."""
+
+        def compute():
+            g = eval_series(self.rule.nodes, truth.coefficients, self.basis_tag)
+            c0 = self._log_norm_values(g)
+            return np.exp(g - c0), c0
+
+        return self._per_truth(truth, "nodes", compute)
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        key = truth.coefficients.tobytes()
-        if key not in self._truth_cache:
-            g = eval_series(self.rule.nodes, truth.coefficients, self.basis_tag)
-            self._truth_cache[key] = np.exp(g - self._log_norm_values(g))
-        return self._truth_cache[key]
+        return self._truth_on_nodes(truth)[0]
 
-    def _truth_log_norm(self, truth: TruthSpec) -> float:
-        g = eval_series(self.rule.nodes, truth.coefficients, self.basis_tag)
-        return self._log_norm_values(g)
-
-    def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
-        if truth.family_tag != self.tag:
-            raise ValueError(
-                f"truth is for family {truth.family_tag!r}, not {self.tag!r}"
-            )
-        rng = np.random.default_rng(seed)
-        grid = np.linspace(0.0, 1.0, self.cdf_cells + 1)
-        key = truth.coefficients.tobytes()
-        if key not in self._pdf_cache:
-            c0 = self._truth_log_norm(truth)
-            self._pdf_cache[key] = np.exp(
-                eval_series(grid, truth.coefficients, self.basis_tag) - c0
-            )
-        y = _inverse_cdf_sample(self._pdf_cache[key], grid, n, rng)
-        return Dataset(self.tag, y, None, n, seed)
+    def _density_on(self, truth: TruthSpec, x: np.ndarray) -> np.ndarray:
+        g = eval_series(x, truth.coefficients, self.basis_tag)
+        return np.exp(g - self._truth_on_nodes(truth)[1])
 
     def suff_stats(self, data: Dataset, k: int) -> np.ndarray:
         if data.n == 0:
@@ -466,9 +457,6 @@ class LogLinear(_RowEmbedded):
         theta = self.project(truth, k)
         return self.metric().distance(self.truth_embedding(truth), self.density_values(theta)) ** 2
 
-    def metric(self) -> SemiMetric:
-        return SemiMetric("hellinger", weights=self.rule.weights)
-
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         g = block @ self.phi_grid[:, :k].T
         m = g.max(axis=1, keepdims=True)
@@ -476,42 +464,24 @@ class LogLinear(_RowEmbedded):
         return np.exp(g - m - np.log(z)[:, None])
 
 
-class Classification(_RowEmbedded):
+class Classification(_RowEmbedded, _OnDesign):
     """Fixed-design binary responses with the logistic link."""
 
     tag = "classification"
     center_kind = "probability"
 
     def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = 64):
+        super().__init__()
         self.design = midpoint_design(n, basis_tag=basis_tag, k_design=k_max)
         self.basis_tag = basis_tag
-        self._truth_cache: dict[bytes, np.ndarray] = {}
-
-    @property
-    def n(self) -> int:
-        return self.design.n
-
-    @property
-    def max_k(self) -> int:
-        return self.design.k_design
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        key = truth.coefficients.tobytes()
-        if key not in self._truth_cache:
-            f0 = eval_series(self.design.points, truth.coefficients, self.basis_tag)
-            self._truth_cache[key] = expit(f0)
-        return self._truth_cache[key]
+        return self._per_truth(truth, "design", lambda: expit(
+            eval_series(self.design.points, truth.coefficients, self.basis_tag)
+        ))
 
-    def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
-        if truth.family_tag != self.tag:
-            raise ValueError(
-                f"truth is for family {truth.family_tag!r}, not {self.tag!r}"
-            )
-        if n != self.n:
-            raise ValueError(f"family was built for n={self.n}, got {n}")
-        rng = np.random.default_rng(seed)
-        y = (rng.random(n) < self.truth_embedding(truth)).astype(float)
-        return Dataset(self.tag, y, self.design, n, seed)
+    def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
+        return (rng.random(n) < self.truth_embedding(truth)).astype(float)
 
     def loglik(self, data: Dataset, k: int):
         if data.n == 0:

@@ -17,11 +17,18 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .bias import BiasProfile, PolishedTailParams, bias_profile, check_polished_tail, tradeoff_set
+from .bias import (
+    BiasProfile,
+    PolishedTailParams,
+    bias_profile,
+    polished_tail_verdict,
+    tradeoff_set,
+)
 from .basis import BASIS_TAGS
 from .credible import CoverageRecord, credible_radius, wilson_interval
 from .families import FAMILY_TAGS, make_family
@@ -35,8 +42,8 @@ from .inference import (
     sample_given_k,
     sample_hierarchical,
 )
-from .priors import prior_from_config
-from .truths import generate_truth
+from .priors import prior_from_config, unknown_prior_keys
+from .truths import GENERATOR_TAGS, generate_truth
 
 ERROR_BUDGET = 0.02
 
@@ -77,7 +84,12 @@ class ExperimentConfig:
         self.truth_coefficients = tuple(float(c) for c in self.truth_coefficients)
         if self.generator == "explicit" and not self.truth_coefficients:
             raise ValueError("explicit truths need truth_coefficients")
+        unknown_prior = unknown_prior_keys(self.prior)
         checks = (
+            (self.generator in GENERATOR_TAGS, f"unknown generator {self.generator!r}"),
+            (self.beta > 0.5, "beta must exceed 1/2"),
+            (self.truth_length >= 1, "truth_length must be >= 1"),
+            (not unknown_prior, f"unknown prior config keys: {unknown_prior}"),
             (self.family in FAMILY_TAGS, f"unknown family {self.family!r}"),
             (self.basis in BASIS_TAGS, f"unknown basis {self.basis!r}"),
             (self.marginal_method in MARGINAL_METHODS,
@@ -142,15 +154,11 @@ class _Context:
         )
         self.prior = prior_from_config(cfg.prior, cfg.family, n)
         self.mcmc = McmcSettings(burn_in=cfg.mcmc_burn_in, thin=cfg.mcmc_thin)
-        self._profile: Optional[BiasProfile] = None
         self._tradeoff: dict[float, set] = {}
-        self._tail = "unset"
 
-    @property
+    @cached_property
     def profile(self) -> BiasProfile:
-        if self._profile is None:
-            self._profile = bias_profile(self.truth, self.family, self.prior.hyper.k_cap, self.n)
-        return self._profile
+        return bias_profile(self.truth, self.family, self.prior.hyper.k_cap, self.n)
 
     def tradeoff(self, M: float) -> set:
         if M not in self._tradeoff:
@@ -160,21 +168,11 @@ class _Context:
                 self._tradeoff[M] = tradeoff_set(self.profile, M)
         return self._tradeoff[M]
 
-    def tail_verdict(self):
-        if self._tail != "unset":
-            return self._tail
+    @cached_property
+    def tail_verdict(self) -> dict:
         cfg = self.cfg
         params = PolishedTailParams(r0=cfg.tail_r0, k0=cfg.tail_k0, tau=cfg.tail_tau)
-        profile = self.profile
-        try:
-            if profile.k_n is not None and profile.k_n * params.r0 > profile.k_max:
-                k_max = min(profile.k_n * params.r0, getattr(self.family, "max_k", 10**9))
-                profile = bias_profile(self.truth, self.family, k_max, self.n)
-            report = check_polished_tail(profile, params)
-            self._tail = {"holds": report.holds, "first_violation": report.first_violation}
-        except ValueError as err:
-            self._tail = {"holds": None, "error": str(err)}
-        return self._tail
+        return polished_tail_verdict(self.truth, self.family, self.profile, params)
 
 
 def _run_replicate(ctx: _Context, rep_id: int) -> dict:
@@ -296,6 +294,19 @@ def _mean_or_none(values):
     return float(np.mean(values)) if values else None
 
 
+def _selection_summary(picked: list, Ms: list) -> dict:
+    """Selected-k histogram and trade-off-set membership over per-replicate mode results."""
+    khist = Counter(m["k"] for m in picked)
+    return {
+        "k_hist": {str(k): khist[k] for k in sorted(khist)},
+        "frac_in_tradeoff": {M: _mean_or_none([m["in_K"][M] for m in picked]) for M in Ms},
+        "mean_mass_in_tradeoff": {
+            M: _mean_or_none([m["mass_K"][M] for m in picked if m["mass_K"] is not None])
+            for M in Ms
+        },
+    }
+
+
 @dataclass
 class CoverageReport:
     op: str
@@ -371,7 +382,6 @@ def _coverage_experiment(op: str, cfg: ExperimentConfig, arms) -> CoverageReport
             used = len(covered)
             ci_lo, ci_hi = wilson_interval(int(np.sum(covered)), used)
             diam = np.array([row["diameter"] for row in arm_rows]) if used else np.array([np.nan])
-            khist = Counter(m["k"] for m in arm_modes)
             cell = {
                 "n": n,
                 "mode": label,
@@ -383,17 +393,7 @@ def _coverage_experiment(op: str, cfg: ExperimentConfig, arms) -> CoverageReport
                 "diam_q10": float(np.quantile(diam, 0.1)),
                 "diam_q50": float(np.quantile(diam, 0.5)),
                 "diam_q90": float(np.quantile(diam, 0.9)),
-                "k_hist": {str(k): khist[k] for k in sorted(khist)},
-                "frac_in_tradeoff": {
-                    str(M): _mean_or_none([m["in_K"][str(M)] for m in arm_modes])
-                    for M in cfg.tradeoff_M
-                },
-                "mean_mass_in_tradeoff": {
-                    str(M): _mean_or_none(
-                        [m["mass_K"][str(M)] for m in arm_modes if m["mass_K"] is not None]
-                    )
-                    for M in cfg.tradeoff_M
-                },
+                **_selection_summary(arm_modes, [str(M) for M in cfg.tradeoff_M]),
                 "replicates_used": used,
             }
             if label == "negative":
@@ -477,7 +477,7 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         per_n[str(n)] = {
             "k_n": ctx.profile.k_n,
             "k_n_beyond_range": ctx.profile.beyond_range,
-            "polished_tail": ctx.tail_verdict(),
+            "polished_tail": ctx.tail_verdict,
             "tradeoff_sets": {str(M): sorted(ctx.tradeoff(M)) for M in config.tradeoff_M},
         }
     Ms = [str(M) for M in config.tradeoff_M]
@@ -487,18 +487,10 @@ def run_diagnostics(config: ExperimentConfig) -> dict:
         for r in results
         for mode, m in r["modes"].items()
     ]
-    modes = {}
-    for mode in dict.fromkeys(row["mode"] for row in rows):
-        picked = [r["modes"][mode] for r in results if mode in r["modes"]]
-        khist = Counter(m["k"] for m in picked)
-        modes[mode] = {
-            "k_hist": {str(k): khist[k] for k in sorted(khist)},
-            "frac_in_tradeoff": {M: _mean_or_none([m["in_K"][M] for m in picked]) for M in Ms},
-            "mean_mass_in_tradeoff": {
-                M: _mean_or_none([m["mass_K"][M] for m in picked if m["mass_K"] is not None])
-                for M in Ms
-            },
-        }
+    modes = {
+        mode: _selection_summary([r["modes"][mode] for r in results if mode in r["modes"]], Ms)
+        for mode in dict.fromkeys(row["mode"] for row in rows)
+    }
     report = {
         "op": "diagnostics",
         "config": config.to_dict(),

@@ -134,16 +134,16 @@ def _regression_conjugate(family, g, data: Dataset, k: int):
     """Posterior (mean, cholesky-of-precision) and evidence for gaussian priors."""
     tau2 = g.scale**2
     m0 = np.full(k, g.location)
-    phi = family.design.phi(k)
-    prec = phi.T @ phi + np.eye(k) / tau2
-    b = phi.T @ data.y + m0 / tau2
-    c = float(data.y @ data.y) + float(m0 @ m0) / tau2
+    gram, phi_y, yy, const = family._quadratic(data, k)
+    prec = gram + np.eye(k) / tau2
+    b = phi_y + m0 / tau2
+    c = yy + float(m0 @ m0) / tau2
     chol = np.linalg.cholesky(prec)
     half = np.linalg.solve(chol, b)
     mean = np.linalg.solve(chol.T, half)
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())
     log_m = (
-        -0.5 * data.n * _LOG2PI
+        const
         - k * np.log(g.scale)
         - 0.5 * log_det
         + 0.5 * (float(half @ half) - c)

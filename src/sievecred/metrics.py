@@ -113,7 +113,11 @@ def hellinger_hist_vs_density(theta, density_fn, order: int = 24) -> float:
     never straddle a quadrature cell.
     """
     theta = np.asarray(theta, dtype=float)
+    return hellinger_hist_vs_cells(theta, *hist_cell_integrals(density_fn, theta.size, order))
+
+
+def hellinger_hist_vs_cells(theta, cells, roots) -> float:
+    """`hellinger_hist_vs_density` from the density's cell integrals on theta's bins."""
     k = theta.size
-    cells, roots = hist_cell_integrals(density_fn, k, order)
     h2 = cells.sum() + 1.0 - 2.0 * np.sqrt(k) * float(np.sqrt(np.clip(theta, 0, None)) @ roots)
     return float(np.sqrt(max(h2, 0.0)))

@@ -165,13 +165,31 @@ class SievePrior:
     conditional: ConditionalPrior
 
 
+_PRIOR_KEYS = {"hyper": ("kind", "p", "lambda"),
+               "conditional": ("kind", "alpha", "location", "scale")}
+
+
+def unknown_prior_keys(config: dict) -> list[str]:
+    """The keys of a prior config that `prior_from_config` does not read, as dotted names."""
+    config = config or {}
+    unknown = [key for key in config if key not in (*_PRIOR_KEYS, "k_cap", "k_cap_exponent")]
+    for section, known in _PRIOR_KEYS.items():
+        unknown += [f"{section}.{key}" for key in config.get(section) or {} if key not in known]
+    return unknown
+
+
 def prior_from_config(config: dict, family_tag: str, n: int) -> SievePrior:
     """Build a SievePrior from the JSON config schema.
 
     {"hyper": {"kind": "geometric", "p": 0.5},
      "conditional": {"kind": "gaussian", "scale": 1.0},
      "k_cap_exponent": 0.4}
+
+    A key outside this schema is an error, so a misspelled one is not ignored.
     """
+    unknown = unknown_prior_keys(config)
+    if unknown:
+        raise ValueError(f"unknown prior config keys: {unknown}")
     config = dict(config or {})
     hyper_cfg = dict(config.get("hyper", {"kind": "geometric", "p": 0.5}))
     kind = hyper_cfg.pop("kind", "geometric")

@@ -49,6 +49,12 @@ def test_config_validation():
         {"family": "poisson"},
         {"basis": "wavelet"},
         {"marginal_method": "nope"},
+        {"generator": "nope"},
+        {"beta": 0.4},
+        {"truth_length": 0},
+        {"prior": {"conditonal": {"kind": "laplace"}}},
+        {"prior": {"hyper": {"kind": "geometric", "P": 0.2}}},
+        {"prior": {"conditional": {"kind": "gaussian", "sclae": 3.0}}},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
@@ -254,3 +260,14 @@ def test_cli_mmle_posterior_credible(tmp_path, capsys):
     ball = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert ball["r_alpha"] > 0
     assert ball["inflation"] == pytest.approx(2.0 * math.sqrt(math.log(200)))
+
+
+def test_cli_bias_extends_profile_for_polished_tail_like_diagnostics(tmp_path, capsys):
+    # k_n = 12 at n = 2000, so the check needs b(24) beyond k_cap = 21
+    assert cli_main(["bias", "--family", "regression", "--n", "2000", "--beta", "0.6",
+                     "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["k_n"] == 12
+    assert summary["polished_tail"] == {"holds": True, "first_violation": None}
+    ctx = harness._Context(ExperimentConfig(beta=0.6, seed=0, n_grid=(2000,)), 2000)
+    assert ctx.tail_verdict == summary["polished_tail"]

@@ -93,6 +93,29 @@ def test_laplace_equals_conjugate_for_gaussian_regression(reg500, truth_b1):
         assert approx == pytest.approx(exact, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [200, 2000])
+def test_cached_gram_is_the_reference_product(n, truth_b1):
+    fam = make_family("regression", n=n)
+    data = fam.simulate(truth_b1, n, seed=21)
+    sieve = prior_from_config({}, "regression", n)
+    table = marginal_table(fam, sieve, data)
+    for k in range(1, sieve.hyper.k_cap + 1):
+        phi = fam.design.phi(k)
+        reference = phi.T @ phi
+        cached = fam.design.phi_gram(k)
+        # bit for bit: the leading block of a larger k's product is not
+        assert np.array_equal(cached, reference)
+        assert fam.design.phi_gram(k) is cached
+        assert not cached.flags.writeable
+        # N(0, 1) conjugate evidence from the freshly computed product
+        chol = np.linalg.cholesky(reference + np.eye(k))
+        half = np.linalg.solve(chol, phi.T @ data.y)
+        log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+        log_m = (-0.5 * n * np.log(2.0 * np.pi) - 0.5 * log_det
+                 + 0.5 * (float(half @ half) - float(data.y @ data.y)))
+        assert table.log_m[k] == log_m
+
+
 def test_importance_sampling_matches_exact_routes(reg500, truth_b1):
     data = reg500.simulate(truth_b1, 500, seed=9)
     exact, _, _ = marginal_likelihood(reg500, gaussian_prior(), data, 3, method="conjugate")

@@ -153,3 +153,16 @@ def test_prior_from_config_defaults():
     assert sieve.hyper.kind == "poisson"
     assert sieve.conditional.g.base == "laplace"
     assert sieve.hyper.k_cap == int(np.ceil(1000**0.3))
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"conditonal": {"kind": "laplace"}}, "conditonal"),
+        ({"hyper": {"kind": "geometric", "P": 0.2}}, "hyper.P"),
+        ({"conditional": {"kind": "gaussian", "sclae": 3.0}}, "conditional.sclae"),
+    ],
+)
+def test_prior_from_config_rejects_unknown_keys(config, key):
+    with pytest.raises(ValueError, match=key):
+        prior_from_config(config, "regression", 500)
