@@ -5,6 +5,9 @@ log-linear model requires. On the midpoint design x_i = (i - 1/2)/n the
 trigonometric system is also orthonormal in the empirical inner product for
 k <= n/2 (discrete Fourier orthogonality), so the design Gram matrix is the
 identity up to rounding.
+
+A long series sum_j c_j phi_j is summed term by term by `eval_series` at
+arbitrary points, and by one FFT (`eval_series_grid`) on an equispaced grid.
 """
 
 from __future__ import annotations
@@ -55,6 +58,43 @@ def eval_series(x, coefficients, tag: str = "trigonometric", chunk: int = 512) -
     return total
 
 
+def eval_series_grid(coefficients, N: int, shift: float = 0.0, count: int | None = None,
+                     tag: str = "trigonometric") -> np.ndarray:
+    """`eval_series` at x_i = (i + shift)/N for i < count <= 2N, by one FFT of length 2N.
+
+    Each basis function is sqrt(2) Re(w exp(i pi m x)) for an integer m and a
+    weight w: m = 2 ceil(j/2) with w = 1 (cosine term) or -i (sine term) for
+    the trigonometric basis, m = j with w = 1 for the cosine basis. At x_i this
+    is sqrt(2) Re(w exp(i pi m shift/N) exp(2 pi i m i/(2N))), so the weighted
+    coefficients, folded mod 2N, are the spectrum of one inverse FFT.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    count = N if count is None else count
+    if N < 1 or not 1 <= count <= 2 * N:
+        raise ValueError(f"need N >= 1 and 1 <= count <= 2N, got N={N}, count={count}")
+    j = np.arange(1, c.size + 1)
+    if tag == "trigonometric":
+        m = 2 * ((j + 1) // 2)
+        weighted = np.where(j % 2 == 1, c, -1j * c)
+    elif tag == "cosine":
+        m = j
+        weighted = c.astype(complex)
+    else:
+        raise ValueError(f"unknown basis tag {tag!r}")
+    # the phase uses m before folding; its angle is reduced mod 2 pi exactly
+    weighted = weighted * np.exp(1j * np.pi * np.mod(m * shift, 2 * N) / N)
+    folded = m % (2 * N)
+    spectrum = np.bincount(folded, weighted.real, 2 * N) + 1j * np.bincount(
+        folded, weighted.imag, 2 * N
+    )
+    return np.sqrt(2.0) * np.fft.ifft(spectrum, norm="forward").real[:count]
+
+
+def midpoints(n: int) -> np.ndarray:
+    """The midpoint design x_i = (i - 1/2)/n, i = 1..n."""
+    return (np.arange(n) + 0.5) / n
+
+
 @dataclass(frozen=True)
 class DesignGrid:
     """Fixed design points with the basis evaluated and certified.
@@ -92,6 +132,22 @@ class DesignGrid:
     def gram(self, k: int) -> np.ndarray:
         return self.phi_gram(k) / self.n
 
+    def series(self, coefficients) -> np.ndarray:
+        """sum_j c_j phi_j at the design points.
+
+        A series that fits the design is the product Phi_k c, the one
+        `center_embedding` uses. A longer one is summed by FFT, which needs
+        the midpoint points.
+        """
+        c = np.asarray(coefficients, dtype=float)
+        if c.size <= self.k_design:
+            return self.phi(c.size) @ c
+        if not np.array_equal(self.points, midpoints(self.n)):
+            raise ValueError(
+                f"a series of {c.size} > k_design={self.k_design} terms needs the midpoint design"
+            )
+        return eval_series_grid(c, self.n, 0.5, tag=self.basis_tag)
+
 
 def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> DesignGrid:
     """Equispaced midpoint design x_i = (i - 1/2)/n with eigenvalue certification."""
@@ -100,7 +156,7 @@ def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int | No
     cap = n // 2 if basis_tag == "trigonometric" else max(n - 1, 1)
     cap = max(cap, 1)
     k_design = min(k_design if k_design is not None else 64, cap)
-    points = (np.arange(n) + 0.5) / n
+    points = midpoints(n)
     phi = basis_matrix(points, k_design, basis_tag)
     eigs = np.linalg.eigvalsh(phi.T @ phi / n)
     if eigs.min() <= 1e-12:

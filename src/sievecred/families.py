@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .basis import DesignGrid, basis_matrix, eval_series, midpoint_design
+from .basis import DesignGrid, basis_matrix, eval_series, eval_series_grid, midpoint_design
 from .metrics import SemiMetric, hellinger_hist_vs_cells, hist_cell_integrals
 from .optimize import damped_newton
 from .quadrature import DEFAULT_RULE, QuadratureRule
@@ -173,11 +173,13 @@ class _Density(_RowEmbedded):
         self.max_k = max_k
 
     def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
-        grid = np.linspace(0.0, 1.0, self.cdf_cells + 1)
+        cells = self.cdf_cells
+        grid = np.linspace(0.0, 1.0, cells + 1)
 
         def cdf_table():
             # piecewise-linear CDF of the truth on the grid, inverted by interpolation
-            pdf = self._density_on(truth, grid)
+            series = eval_series_grid(truth.coefficients, cells, 0.0, cells + 1, self.basis_tag)
+            pdf = self._density_from_series(truth, series)
             cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
             return cdf / cdf[-1]
 
@@ -201,9 +203,7 @@ class Regression(_OnDesign):
         self.basis_tag = self.design.basis_tag
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        return self._per_truth(truth, "design", lambda: eval_series(
-            self.design.points, truth.coefficients, self.basis_tag
-        ))
+        return self._per_truth(truth, "design", lambda: self.design.series(truth.coefficients))
 
     def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
         return self.truth_embedding(truth) + rng.standard_normal(n)
@@ -290,11 +290,13 @@ class Histogram(_Density):
 
         return p0
 
-    def _density_on(self, truth: TruthSpec, x: np.ndarray) -> np.ndarray:
-        return np.clip(self.density_fn(truth)(x), 0.0, None)
+    def _density_from_series(self, truth: TruthSpec, series: np.ndarray) -> np.ndarray:
+        return np.clip(1.0 + series, 0.0, None)
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        return self._per_truth(truth, "nodes", lambda: self._density_on(truth, self.rule.nodes))
+        return self._per_truth(truth, "nodes", lambda: np.clip(
+            self.density_fn(truth)(self.rule.nodes), 0.0, None
+        ))
 
     def counts(self, data: Dataset, k: int) -> np.ndarray:
         if data.n == 0:
@@ -344,7 +346,14 @@ class Histogram(_Density):
         return k * block[:, self.node_cells(k)]
 
     def center(self, draws) -> CenterPoint:
-        center = super().center(draws)
+        """The mean density on the nodes: each block is summed over its draws first, per bin."""
+        acc = 0.0
+        total = 0
+        for k in sorted(draws.blocks):
+            block = draws.blocks[k]
+            acc = acc + (k * block.sum(axis=0))[self.node_cells(k)]
+            total += block.shape[0]
+        center = CenterPoint(self.tag, self.center_kind, acc / total)
         if len(draws.blocks) != 1:
             return center
         (k,) = draws.blocks
@@ -356,7 +365,22 @@ class Histogram(_Density):
             block = draws.blocks[center.hist_k]
             diff = np.sqrt(block) - np.sqrt(center.hist_theta)[None, :]
             return np.sqrt(np.clip(np.sum(diff**2, axis=1), 0.0, None))
-        return super().draw_distances(draws, center)
+        # The quadrature Hellinger distance, scored per bin j of each draw: over
+        # the nodes i of bin j, sum w_i (a_j - r_i)^2 = W_j (a_j - m_j)^2 +
+        # sum w_i (r_i - m_j)^2, with a_j = sqrt(k theta_j), r_i = sqrt(center_i),
+        # W_j the bin's weight and m_j its weighted mean of r.
+        w = self.rule.weights
+        r = np.sqrt(np.clip(center.values, 0.0, None))
+        parts = []
+        for k in sorted(draws.blocks):
+            cells = self.node_cells(k)
+            W = np.bincount(cells, w, k)
+            m = np.divide(np.bincount(cells, w * r, k), W, out=np.zeros(k), where=W > 0)
+            spread = float(w @ (r - m[cells]) ** 2)
+            a = np.sqrt(np.clip(k * draws.blocks[k], 0.0, None))
+            d2 = (a - m) ** 2 @ W + spread
+            parts.append(np.sqrt(np.clip(d2, 0.0, None)))
+        return np.concatenate(parts)
 
 
 class LogLinear(_Density):
@@ -410,9 +434,8 @@ class LogLinear(_Density):
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
         return self._truth_on_nodes(truth)[0]
 
-    def _density_on(self, truth: TruthSpec, x: np.ndarray) -> np.ndarray:
-        g = eval_series(x, truth.coefficients, self.basis_tag)
-        return np.exp(g - self._truth_on_nodes(truth)[1])
+    def _density_from_series(self, truth: TruthSpec, series: np.ndarray) -> np.ndarray:
+        return np.exp(series - self._truth_on_nodes(truth)[1])
 
     def suff_stats(self, data: Dataset, k: int) -> np.ndarray:
         if data.n == 0:
@@ -477,7 +500,7 @@ class Classification(_RowEmbedded, _OnDesign):
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
         return self._per_truth(truth, "design", lambda: expit(
-            eval_series(self.design.points, truth.coefficients, self.basis_tag)
+            self.design.series(truth.coefficients)
         ))
 
     def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:

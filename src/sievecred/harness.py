@@ -84,7 +84,7 @@ class ExperimentConfig:
         self.truth_coefficients = tuple(float(c) for c in self.truth_coefficients)
         if self.generator == "explicit" and not self.truth_coefficients:
             raise ValueError("explicit truths need truth_coefficients")
-        unknown_prior = unknown_prior_keys(self.prior)
+        unknown_prior = unknown_prior_keys(self.prior, self.family)
         checks = (
             (self.generator in GENERATOR_TAGS, f"unknown generator {self.generator!r}"),
             (self.beta > 0.5, "beta must exceed 1/2"),
@@ -217,12 +217,12 @@ _WORKER_CTX: dict = {}
 
 
 def _context(cfg_key: str, n: int) -> _Context:
-    """The per-process context of (config, n); only the latest one is kept."""
-    key = (cfg_key, n)
-    if key not in _WORKER_CTX:
+    """The per-process context of (config, n); those of the latest config are kept, one per n."""
+    if any(key != cfg_key for key, _ in _WORKER_CTX):
         _WORKER_CTX.clear()
-        _WORKER_CTX[key] = _Context(ExperimentConfig.from_dict(json.loads(cfg_key)), n)
-    return _WORKER_CTX[key]
+    if (cfg_key, n) not in _WORKER_CTX:
+        _WORKER_CTX[cfg_key, n] = _Context(ExperimentConfig.from_dict(json.loads(cfg_key)), n)
+    return _WORKER_CTX[cfg_key, n]
 
 
 def _worker(cfg_key: str, n: int, rep_id: int) -> dict:

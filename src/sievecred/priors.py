@@ -165,16 +165,36 @@ class SievePrior:
     conditional: ConditionalPrior
 
 
-_PRIOR_KEYS = {"hyper": ("kind", "p", "lambda"),
-               "conditional": ("kind", "alpha", "location", "scale")}
+# the keys each kind reads, per section
+_PRIOR_KINDS = {
+    "hyper": {"geometric": ("p",), "poisson": ("lambda",)},
+    "conditional": {"gaussian": ("location", "scale"), "laplace": ("location", "scale"),
+                    "dirichlet": ("alpha",)},
+}
 
 
-def unknown_prior_keys(config: dict) -> list[str]:
-    """The keys of a prior config that `prior_from_config` does not read, as dotted names."""
+def _section_kind(config: dict, section: str, family_tag: str) -> str:
+    """The kind a prior section names, or the family's default."""
+    default = {"hyper": "geometric",
+               "conditional": "dirichlet" if family_tag == "histogram" else "gaussian"}[section]
+    return (config.get(section) or {}).get("kind", default)
+
+
+def unknown_prior_keys(config: dict, family_tag: str) -> list[str]:
+    """The keys of a prior config that `prior_from_config` does not read, as dotted names.
+
+    A key that only another kind reads counts too, and so does an unknown kind;
+    each is named with the section's kind.
+    """
     config = config or {}
-    unknown = [key for key in config if key not in (*_PRIOR_KEYS, "k_cap", "k_cap_exponent")]
-    for section, known in _PRIOR_KEYS.items():
-        unknown += [f"{section}.{key}" for key in config.get(section) or {} if key not in known]
+    unknown = [key for key in config if key not in (*_PRIOR_KINDS, "k_cap", "k_cap_exponent")]
+    for section, kinds in _PRIOR_KINDS.items():
+        kind = _section_kind(config, section, family_tag)
+        if kind not in kinds:
+            unknown.append(f"{section}.kind ({kind})")
+            continue
+        unknown += [f"{section}.{key} ({kind})" for key in config.get(section) or {}
+                    if key not in ("kind", *kinds[kind])]
     return unknown
 
 
@@ -185,25 +205,25 @@ def prior_from_config(config: dict, family_tag: str, n: int) -> SievePrior:
      "conditional": {"kind": "gaussian", "scale": 1.0},
      "k_cap_exponent": 0.4}
 
-    A key outside this schema is an error, so a misspelled one is not ignored.
+    Each kind reads its own keys: geometric `p`, poisson `lambda`, gaussian
+    and laplace `location` and `scale`, dirichlet `alpha`. Any other key is an
+    error, so a misspelled or misplaced one is not ignored.
     """
-    unknown = unknown_prior_keys(config)
+    unknown = unknown_prior_keys(config, family_tag)
     if unknown:
         raise ValueError(f"unknown prior config keys: {unknown}")
-    config = dict(config or {})
-    hyper_cfg = dict(config.get("hyper", {"kind": "geometric", "p": 0.5}))
-    kind = hyper_cfg.pop("kind", "geometric")
-    param = hyper_cfg.get("p", hyper_cfg.get("lambda", 0.5))
+    config = config or {}
+    hyper_cfg = config.get("hyper") or {}
+    kind = _section_kind(config, "hyper", family_tag)
+    param = hyper_cfg.get("p" if kind == "geometric" else "lambda", 0.5)
     k_cap = config.get("k_cap", default_k_cap(n, config.get("k_cap_exponent", 0.4)))
-    cond_cfg = dict(config.get("conditional", {}))
-    cond_kind = cond_cfg.get("kind", "dirichlet" if family_tag == "histogram" else "gaussian")
+    cond_cfg = config.get("conditional") or {}
+    cond_kind = _section_kind(config, "conditional", family_tag)
     if cond_kind == "dirichlet":
         conditional = dirichlet_prior(alpha=cond_cfg.get("alpha", 1.0))
-    elif cond_kind in ("gaussian", "laplace"):
+    else:
         g = GSpec(cond_kind, cond_cfg.get("location", 0.0), cond_cfg.get("scale", 1.0))
         conditional = ConditionalPrior("product", g=g)
-    else:
-        raise ValueError(f"unknown conditional prior {cond_kind!r}")
     return SievePrior(hyper=hyper_prior(kind, param, k_cap), conditional=conditional)
 
 

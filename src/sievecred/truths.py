@@ -14,12 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import eval_series
+from .basis import eval_series_grid
 
 GENERATOR_TAGS = ("self_similar", "sobolev_draw", "explicit")
 
 # Histogram truths are kept bounded away from zero by this floor.
 HIST_DENSITY_FLOOR = 0.1
+# ... which is checked at the midpoints of this many equal cells.
+POSITIVITY_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,7 @@ def generate_truth(
 
 
 def _rescale_for_positivity(theta: np.ndarray, basis_tag: str) -> np.ndarray:
-    grid = (np.arange(4096) + 0.5) / 4096
-    series = eval_series(grid, theta, basis_tag)
-    low = series.min()
+    low = eval_series_grid(theta, POSITIVITY_CELLS, 0.5, tag=basis_tag).min()
     if 1.0 + low < HIST_DENSITY_FLOOR:
         theta = theta * (1.0 - HIST_DENSITY_FLOOR) / (-low)
     return theta
@@ -125,8 +125,7 @@ def validate_truth(truth: TruthSpec, basis_tag: str = "trigonometric") -> dict:
     else:
         report["in_class"] = True
     if truth.family_tag == "histogram":
-        grid = (np.arange(4096) + 0.5) / 4096
-        dens = 1.0 + eval_series(grid, c, basis_tag)
+        dens = 1.0 + eval_series_grid(c, POSITIVITY_CELLS, 0.5, tag=basis_tag)
         report["density_min"] = float(dens.min())
         report["density_max"] = float(dens.max())
         report["in_class"] = bool(report["in_class"] and dens.min() > 0)

@@ -3,7 +3,8 @@ import pytest
 from scipy.stats import norm
 
 from sievecred import generate_truth, make_family
-from sievecred.families import Dataset
+from sievecred.basis import DesignGrid, basis_matrix
+from sievecred.families import Dataset, Regression
 
 
 def _uniform_hist_truth():
@@ -198,6 +199,17 @@ def test_log_norm_overflow_guard(loglin_family):
 
 # ---------------------------------------------------------------------------
 # projections
+
+
+def test_truth_embedding_needs_midpoints_beyond_k_design(truth_b1):
+    points = np.sort(np.random.default_rng(2).random(40))
+    design = DesignGrid(points=points, basis_tag="trigonometric", k_design=10, c0=1.0,
+                        _phi=basis_matrix(points, 10))
+    family = Regression(40, design=design)
+    short = generate_truth("explicit", beta=1.0, coefficients=truth_b1.coefficients[:10])
+    assert np.array_equal(family.truth_embedding(short), design.phi(10) @ short.coefficients)
+    with pytest.raises(ValueError, match="midpoint"):
+        family.truth_embedding(truth_b1)
 
 
 def test_regression_projection_recovers_truth_in_model(reg500):

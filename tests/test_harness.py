@@ -55,6 +55,10 @@ def test_config_validation():
         {"prior": {"conditonal": {"kind": "laplace"}}},
         {"prior": {"hyper": {"kind": "geometric", "P": 0.2}}},
         {"prior": {"conditional": {"kind": "gaussian", "sclae": 3.0}}},
+        {"prior": {"hyper": {"kind": "geometric", "lambda": 0.2}}},
+        {"prior": {"hyper": {"kind": "poisson", "p": 0.2}}},
+        {"prior": {"conditional": {"kind": "dirichlet", "scale": 3.0}}},
+        {"prior": {"conditional": {"kind": "gaussian", "alpha": 2.0}}},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
@@ -222,6 +226,21 @@ def test_run_diagnostics_fields_and_determinism():
         fracs = a["modes"][mode]["frac_in_tradeoff"]
         assert set(fracs) == {"2", "4", "8"}
         assert all(0.0 <= v <= 1.0 for v in fracs.values())
+
+
+def test_run_diagnostics_builds_one_context_per_n(monkeypatch):
+    built = []
+    init = harness._Context.__init__
+
+    def counting_init(self, cfg, n):
+        built.append(n)
+        init(self, cfg, n)
+
+    monkeypatch.setattr(harness, "_WORKER_CTX", {})
+    monkeypatch.setattr(harness._Context, "__init__", counting_init)
+    run_diagnostics(_tiny_config(family="histogram", n_grid=(300, 600), replicates=2,
+                                 draws=100, threads=1))
+    assert sorted(built) == [300, 600]
 
 
 def test_cli_simulate_bias_and_coverage(tmp_path):

@@ -373,6 +373,25 @@ def test_center_matches_conjugate_mean_function(reg500, truth_b1):
     assert np.max(np.abs(got - mean_fn)) < 6 * mc_sd
 
 
+def test_histogram_per_bin_center_and_distances_match_node_path(hist_family):
+    from sievecred.families import _RowEmbedded
+
+    truth = generate_truth("self_similar", beta=0.8, seed=5, family_tag="histogram")
+    data = hist_family.simulate(truth, 2000, 9)
+    prior = prior_from_config({}, "histogram", 2000)
+    table = marginal_table(hist_family, prior, data)
+    draws = sample_hierarchical(hist_family, prior, data, 1500, 4, table=table)
+    assert len(draws.blocks) > 1
+    center = hist_family.center(draws)
+    reference = _RowEmbedded.center(hist_family, draws)
+    np.testing.assert_allclose(center.values, reference.values, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        hist_family.draw_distances(draws, center),
+        _RowEmbedded.draw_distances(hist_family, draws, center),
+        rtol=1e-12, atol=0.0,
+    )
+
+
 def test_histogram_center_mixture_density(hist_family):
     from sievecred.inference import PosteriorDraws
 

@@ -161,6 +161,10 @@ def test_prior_from_config_defaults():
         ({"conditonal": {"kind": "laplace"}}, "conditonal"),
         ({"hyper": {"kind": "geometric", "P": 0.2}}, "hyper.P"),
         ({"conditional": {"kind": "gaussian", "sclae": 3.0}}, "conditional.sclae"),
+        ({"hyper": {"kind": "geometric", "lambda": 0.2}}, r"hyper.lambda \(geometric\)"),
+        ({"hyper": {"kind": "poisson", "p": 0.2}}, r"hyper.p \(poisson\)"),
+        ({"conditional": {"kind": "dirichlet", "scale": 3.0}}, r"conditional.scale \(dirichlet\)"),
+        ({"conditional": {"kind": "gaussian", "alpha": 2.0}}, r"conditional.alpha \(gaussian\)"),
     ],
 )
 def test_prior_from_config_rejects_unknown_keys(config, key):

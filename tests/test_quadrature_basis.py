@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sievecred import DEFAULT_RULE, basis_matrix, eval_series, gauss_legendre_rule, midpoint_design
+from sievecred import (
+    DEFAULT_RULE,
+    basis_matrix,
+    eval_series,
+    eval_series_grid,
+    gauss_legendre_rule,
+    midpoint_design,
+)
 from sievecred.quadrature import interval_rule
 
 
@@ -51,6 +58,37 @@ def test_eval_series_matches_matrix_product():
     x = rng.random(50)
     direct = basis_matrix(x, 700, "trigonometric") @ coeffs
     assert np.allclose(eval_series(x, coeffs, chunk=128), direct, atol=1e-11)
+
+
+@pytest.mark.parametrize("tag", ["trigonometric", "cosine"])
+@pytest.mark.parametrize("N", [1, 2, 3, 16, 300, 4096])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_eval_series_grid_matches_direct_sum(tag, N, shift, extra):
+    # lengths below, at and beyond the grid, so that folding mod 2N runs both ways;
+    # coefficients decay like a truth's, |c_j| ~ j^(-3/2)
+    rng = np.random.default_rng(N)
+    count = N + extra
+    x = (np.arange(count) + shift) / N
+    for length in sorted({1, max(N - 1, 1), N, 2 * N + 3, 4096}):
+        coeffs = rng.standard_normal(length) * np.arange(1, length + 1) ** -1.5
+        got = eval_series_grid(coeffs, N, shift, count, tag)
+        bound = 64 * np.finfo(float).eps * np.abs(coeffs).sum()
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - eval_series(x, coeffs, tag))) <= bound, length
+
+
+def test_eval_series_grid_rejects_counts_beyond_two_periods():
+    with pytest.raises(ValueError):
+        eval_series_grid([1.0], 4, 0.0, 9)
+
+
+def test_design_series_exact_in_range_fft_beyond():
+    design = midpoint_design(64, "trigonometric", k_design=20)
+    coeffs = np.random.default_rng(1).standard_normal(300) * np.arange(1, 301) ** -1.5
+    assert np.array_equal(design.series(coeffs[:20]), design.phi(20) @ coeffs[:20])
+    bound = 64 * np.finfo(float).eps * np.abs(coeffs).sum()
+    assert np.max(np.abs(design.series(coeffs) - eval_series(design.points, coeffs))) <= bound
 
 
 def test_midpoint_design_gram_is_identity():
