@@ -11,15 +11,7 @@ from .bias import (
     project,
     tradeoff_set,
 )
-from .credible import (
-    CredibleBall,
-    CoverageRecord,
-    build_ball,
-    covers,
-    credible_radius,
-    diameter_proxy,
-    wilson_interval,
-)
+from .credible import credible_radius, wilson_interval
 from .families import CenterPoint, Dataset, make_family
 from .harness import (
     CoverageReport,

@@ -2,7 +2,9 @@
 
 Subcommands: simulate, bias, mmle, posterior, credible, coverage, negative,
 rate, diagnostics. Harness subcommands read an ExperimentConfig JSON via
---config; --seed, --out-dir and --threads override the config.
+--config; --seed, --out-dir and --threads override the config. The other
+subcommands build their family, truth and prior through the harness from an
+ExperimentConfig of their flags; credible runs one coverage replicate.
 """
 
 from __future__ import annotations
@@ -12,23 +14,17 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .bias import PolishedTailParams, bias_profile, polished_tail_verdict
-from .credible import build_ball, covers, diameter_proxy
-from .families import make_family
-from .harness import ExperimentConfig, run_coverage, run_diagnostics, run_negative, run_rate
-from .inference import (
-    k_posterior,
-    marginal_table,
-    mmle,
-    posterior_center,
-    sample_given_k,
-    sample_hierarchical,
+from .harness import (
+    ExperimentConfig,
+    _Context,
+    run_coverage,
+    run_diagnostics,
+    run_negative,
+    run_rate,
 )
-from .mcmc import McmcSettings
-from .priors import prior_from_config
-from .truths import generate_truth, truth_to_json
+from .inference import marginal_table, mmle, sample_given_k, sample_hierarchical
+from .truths import truth_to_json
 
 
 def _add_common(parser):
@@ -43,12 +39,16 @@ def _add_common(parser):
     parser.add_argument("--out-dir", default=None)
 
 
-def _build_problem(args):
-    family = make_family(args.family, n=args.n)
-    truth = generate_truth(args.generator, args.beta, args.L0, seed=args.seed,
-                           family_tag=args.family)
-    prior = prior_from_config({}, args.family, args.n)
-    return family, truth, prior
+def _config(args, **fields) -> ExperimentConfig:
+    """The ExperimentConfig of the common flags at the one sample size `--n`."""
+    return ExperimentConfig(family=args.family, beta=args.beta, L0=args.L0,
+                            generator=args.generator, seed=args.seed, n_grid=(args.n,),
+                            out_dir=args.out_dir, **fields)
+
+
+def _build_problem(args, **fields) -> _Context:
+    """Family, truth and prior of the flags, built the way the harness builds them."""
+    return _Context(_config(args, **fields), args.n)
 
 
 def _out_path(args, name):
@@ -58,46 +58,46 @@ def _out_path(args, name):
 
 
 def cmd_simulate(args):
-    family, truth, _ = _build_problem(args)
-    data = family.simulate(truth, args.n, args.seed)
+    ctx = _build_problem(args)
+    data = ctx.family.simulate(ctx.truth, args.n, args.seed)
     data.to_csv(_out_path(args, "dataset.csv"))
-    truth_to_json(truth, _out_path(args, "truth.json"))
+    truth_to_json(ctx.truth, _out_path(args, "truth.json"))
     print(f"wrote dataset.csv and truth.json (n={args.n}, family={args.family})")
     return 0
 
 
 def cmd_bias(args):
-    family, truth, prior = _build_problem(args)
-    k_max = args.k_max or prior.hyper.k_cap
-    profile = bias_profile(truth, family, k_max, args.n)
+    ctx = _build_problem(args)
+    k_max = args.k_max or ctx.prior.hyper.k_cap
+    profile = bias_profile(ctx.truth, ctx.family, k_max, args.n)
     profile.to_csv(_out_path(args, "bias.csv"))
     with open(_out_path(args, "bias.json"), "w") as fh:
         fh.write(profile.to_json())
     summary = {"k_n": profile.k_n, "beyond_range": profile.beyond_range}
     params = PolishedTailParams(r0=args.r0, k0=args.k0, tau=args.tau)
-    summary["polished_tail"] = polished_tail_verdict(truth, family, profile, params)
+    summary["polished_tail"] = polished_tail_verdict(ctx.truth, ctx.family, profile, params)
     print(json.dumps(summary))
     return 0
 
 
 def cmd_mmle(args):
-    family, truth, prior = _build_problem(args)
-    data = family.simulate(truth, args.n, args.seed)
-    table = marginal_table(family, prior, data, seed=args.seed)
+    ctx = _build_problem(args)
+    data = ctx.family.simulate(ctx.truth, args.n, args.seed)
+    table = marginal_table(ctx.family, ctx.prior, data, seed=args.seed)
     table.to_csv(_out_path(args, "marginal_likelihoods.csv"))
     print(json.dumps({"k_hat": mmle(table)}))
     return 0
 
 
 def cmd_posterior(args):
-    family, truth, prior = _build_problem(args)
-    data = family.simulate(truth, args.n, args.seed)
-    mcmc = McmcSettings(burn_in=args.burn_in)
+    ctx = _build_problem(args, mcmc_burn_in=args.burn_in)
+    data = ctx.family.simulate(ctx.truth, args.n, args.seed)
     if args.k is not None:
-        draws = sample_given_k(family, prior.conditional, data, args.k, args.count,
-                               args.seed, mcmc=mcmc)
+        draws = sample_given_k(ctx.family, ctx.prior.conditional, data, args.k, args.count,
+                               args.seed, mcmc=ctx.mcmc)
     else:
-        draws = sample_hierarchical(family, prior, data, args.count, args.seed, mcmc=mcmc)
+        draws = sample_hierarchical(ctx.family, ctx.prior, data, args.count, args.seed,
+                                    mcmc=ctx.mcmc)
     payload = {"k_counts": draws.k_counts(), "diagnostics": draws.diagnostics}
     with open(_out_path(args, "sampler_diagnostics.json"), "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True))
@@ -106,31 +106,11 @@ def cmd_posterior(args):
 
 
 def cmd_credible(args):
-    family, truth, prior = _build_problem(args)
-    data = family.simulate(truth, args.n, args.seed)
-    mcmc = McmcSettings(burn_in=args.burn_in)
-    table = marginal_table(family, prior, data, seed=args.seed)
-    if args.mode == "empirical":
-        k_hat = mmle(table)
-        draws = sample_given_k(family, prior.conditional, data, k_hat, args.count,
-                               args.seed, mcmc=mcmc)
-    else:
-        k_hat = None
-        draws = sample_hierarchical(family, prior, data, args.count, args.seed,
-                                    mcmc=mcmc, table=table)
-    center = posterior_center(draws, family)
-    ball = build_ball(args.mode, draws, center, family, args.alpha, args.L, args.n,
-                      k_hat=k_hat)
-    covered, d = covers(ball, truth, family)
-    print(json.dumps({
-        "mode": args.mode,
-        "r_alpha": ball.r_alpha,
-        "inflation": ball.inflation,
-        "diameter": diameter_proxy(ball),
-        "k_hat": k_hat,
-        "d_truth_center": d,
-        "covers_truth": covered,
-    }))
+    """One harness replicate (replicate 1, data seed `--seed` + 1) at one L: its coverage row."""
+    # no trade-off sets: the row does not report them, so no bias profile is built
+    config = _config(args, replicates=1, draws=args.count, mcmc_burn_in=args.burn_in,
+                     alpha=args.alpha, L_grid=(args.L,), mode=args.mode, tradeoff_M=())
+    print(json.dumps(run_coverage(config).rows[0]))
     return 0
 
 
@@ -193,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=1000)
     p.set_defaults(func=cmd_posterior)
 
-    p = sub.add_parser("credible", help="build a credible ball and check coverage")
+    p = sub.add_parser("credible", help="one replicate's credible ball: its coverage row")
     _add_common(p)
     p.add_argument("--mode", default="hierarchical", choices=["hierarchical", "empirical"])
     p.add_argument("--alpha", type=float, default=0.05)

@@ -1,46 +1,17 @@
-"""Credible balls: radius from posterior draws, inflation, coverage indicators.
+"""Credible radius from posterior draws, and the Wilson interval for coverage.
 
 The base radius r_alpha is the empirical (1 - alpha)-quantile of the draw
 distances to the center, using the lower order statistic of rank
-ceil((1 - alpha) S). The effective radius inflates it by L sqrt(log n).
+ceil((1 - alpha) S). The harness inflates it by L sqrt(log n).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .families import CenterPoint
-
-
-@dataclass(frozen=True)
-class CredibleBall:
-    center: CenterPoint
-    r_alpha: float
-    inflation: float
-    alpha: float
-    metric_tag: str
-    mode: str  # "hierarchical" or "empirical"
-    n: float
-    k_hat: Optional[int] = None
-
-    @property
-    def effective_radius(self) -> float:
-        return self.inflation * self.r_alpha
-
-
-@dataclass(frozen=True)
-class CoverageRecord:
-    replicate_id: int
-    covered: bool
-    d_truth_center: float
-    r_alpha: float
-    inflation: float
-    k_hat: Optional[int]
-    diameter_proxy: float
 
 
 def credible_radius(draws, center: CenterPoint, family, alpha: float) -> float:
@@ -53,54 +24,6 @@ def credible_radius(draws, center: CenterPoint, family, alpha: float) -> float:
     rank = math.ceil((1.0 - alpha) * distances.size)
     rank = min(max(rank, 1), distances.size)
     return float(np.partition(distances, rank - 1)[rank - 1])
-
-
-def build_ball(
-    mode: str,
-    draws,
-    center: CenterPoint,
-    family,
-    alpha: float,
-    L: float,
-    n,
-    k_hat: Optional[int] = None,
-) -> CredibleBall:
-    if mode not in ("hierarchical", "empirical"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "empirical" and k_hat is not None:
-        ks = set(draws.blocks)
-        if ks != {k_hat}:
-            raise ValueError(f"empirical ball at k={k_hat} but draws live on {sorted(ks)}")
-    r_alpha = credible_radius(draws, center, family, alpha)
-    return CredibleBall(
-        center=center,
-        r_alpha=r_alpha,
-        inflation=float(L) * math.sqrt(math.log(n)),
-        alpha=alpha,
-        metric_tag=family.metric().kind,
-        mode=mode,
-        n=float(n),
-        k_hat=k_hat,
-    )
-
-
-def covers(ball: CredibleBall, truth, family):
-    """(indicator, distance): is the truth within the inflated radius."""
-    if family.metric().kind != ball.metric_tag:
-        raise ValueError("ball and family metrics disagree")
-    t = family.truth_embedding(truth)
-    c = family.center_embedding(ball.center)
-    d = family.metric().distance(t, c)
-    return bool(d <= ball.effective_radius), float(d)
-
-
-def diameter_proxy(ball: CredibleBall) -> float:
-    """Diameter of the uninflated ball; the inflated one is inflation times this."""
-    return 2.0 * ball.r_alpha
-
-
-def inflated_diameter(ball: CredibleBall) -> float:
-    return 2.0 * ball.effective_radius
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.96):

@@ -30,7 +30,7 @@ from .bias import (
     tradeoff_set,
 )
 from .basis import BASIS_TAGS
-from .credible import CoverageRecord, credible_radius, wilson_interval
+from .credible import credible_radius, wilson_interval
 from .families import FAMILY_TAGS, make_family
 from .inference import (
     MARGINAL_METHODS,
@@ -321,21 +321,6 @@ class CoverageReport:
             if all(cell.get(k) == v for k, v in query.items()):
                 return cell
         raise KeyError(f"no cell matching {query}")
-
-    def records(self, **query) -> list[CoverageRecord]:
-        return [
-            CoverageRecord(
-                replicate_id=row["replicate_id"],
-                covered=row["covered"],
-                d_truth_center=row["d_truth_center"],
-                r_alpha=row["r_alpha"],
-                inflation=row["inflation"],
-                k_hat=row["k_hat"],
-                diameter_proxy=row["diameter"],
-            )
-            for row in self.rows
-            if all(row.get(k) == v for k, v in query.items())
-        ]
 
     def _payload(self) -> dict:
         return {"op": self.op, "config": self.config, "cells": self.cells,

@@ -414,12 +414,11 @@ def sample_hierarchical(
     seed,
     mcmc: Optional[McmcSettings] = None,
     table: Optional[MarginalLikelihoodTable] = None,
-    method: str = "auto",
 ) -> PosteriorDraws:
     """Composition sampling: k from the k-posterior, then theta given k."""
     base = _seed_list(seed)
     if table is None:
-        table = marginal_table(family, prior, data, method=method, seed=base + [0])
+        table = marginal_table(family, prior, data, seed=base + [0])
     kpost = k_posterior(table, prior.hyper)
     support = np.array(sorted(kpost.log_mass))
     probs = np.array([np.exp(kpost.log_mass[k]) for k in support])

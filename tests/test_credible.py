@@ -1,19 +1,20 @@
+import math
+from itertools import groupby
+
 import numpy as np
 import pytest
 
 from sievecred import (
-    build_ball,
-    covers,
+    ExperimentConfig,
     credible_radius,
-    diameter_proxy,
     gaussian_prior,
     generate_truth,
     make_family,
     posterior_center,
+    run_coverage,
     sample_given_k,
     wilson_interval,
 )
-from sievecred.credible import inflated_diameter
 from sievecred.families import CenterPoint
 from sievecred.inference import PosteriorDraws
 
@@ -101,65 +102,62 @@ def test_radius_stable_under_doubling(reg16):
     assert abs(r_s - r_d) < 3 * np.std(reps, ddof=1)
 
 
-def test_build_ball_inflation_arithmetic(reg16):
-    draws = _coef_draws([0.1, 0.2, 0.3])
-    center = CenterPoint("regression", "coefficients", np.array([0.0]))
-    ball = build_ball("hierarchical", draws, center, reg16, 0.5, 1.0, np.e)
-    assert ball.inflation == pytest.approx(1.0, abs=1e-15)
-    ball = build_ball("hierarchical", draws, center, reg16, 0.5, 2.0, 1000)
-    assert ball.inflation == pytest.approx(2.0 * np.sqrt(np.log(1000.0)), abs=1e-12)
-    assert ball.inflation == pytest.approx(5.2565, abs=1e-3)
+@pytest.fixture(scope="module")
+def tiny_rows():
+    """Coverage rows of one tiny run: both modes, n in {200, 1000}, L from 1/4 to 4."""
+    config = ExperimentConfig(family="regression", n_grid=(200, 1000), replicates=4,
+                              draws=200, L_grid=(0.25, 0.5, 1.0, 2.0, 4.0), mode="both",
+                              seed=17, tradeoff_M=())
+    return run_coverage(config).rows
 
 
-def test_build_ball_empirical_k_consistency(reg16):
-    draws = _coef_draws([0.1, 0.2])
-    center = CenterPoint("regression", "coefficients", np.array([0.0]))
-    ball = build_ball("empirical", draws, center, reg16, 0.5, 1.0, 100, k_hat=1)
-    assert ball.k_hat == 1
-    with pytest.raises(ValueError):
-        build_ball("empirical", draws, center, reg16, 0.5, 1.0, 100, k_hat=3)
-    with pytest.raises(ValueError):
-        build_ball("frequentist", draws, center, reg16, 0.5, 1.0, 100)
+def test_build_ball_inflation_arithmetic(tiny_rows):
+    assert {row["n"] for row in tiny_rows} == {200, 1000}
+    for row in tiny_rows:
+        # L sqrt(log n), with no other factor: L itself at n = e
+        assert row["inflation"] == row["L"] * math.sqrt(math.log(row["n"]))
+        if row["n"] == 1000 and row["L"] == 2.0:
+            assert row["inflation"] == pytest.approx(2.0 * np.sqrt(np.log(1000.0)), abs=1e-12)
+            assert row["inflation"] == pytest.approx(5.2565, abs=1e-3)
+
+
+def test_diameter_proxy_values(tiny_rows):
+    assert tiny_rows
+    for row in tiny_rows:
+        assert row["diameter"] == 2.0 * row["r_alpha"]
+        assert row["covered"] == (row["d_truth_center"] <= row["inflation"] * row["r_alpha"])
 
 
 def test_covers_center_equals_truth(reg16):
     truth = generate_truth("explicit", beta=1.0, coefficients=[0.5])
     draws = _coef_draws(np.full(20, 0.5))
     center = posterior_center(draws, reg16)
-    ball = build_ball("hierarchical", draws, center, reg16, 0.05, 2.0, 16)
-    assert ball.r_alpha == 0.0
-    covered, d = covers(ball, truth, reg16)
-    assert covered and d == 0.0
+    assert credible_radius(draws, center, reg16, 0.05) == 0.0
+    d = reg16.metric().distance(reg16.truth_embedding(truth), reg16.center_embedding(center))
+    assert d == 0.0
 
 
 def test_covers_zero_radius_off_center(reg16):
     truth = generate_truth("explicit", beta=1.0, coefficients=[0.4])
-    draws = _coef_draws(np.full(20, 0.1))
+    draws = _coef_draws(np.full(20, 0.125))  # a mean without rounding: radius exactly 0
     center = posterior_center(draws, reg16)
-    ball = build_ball("hierarchical", draws, center, reg16, 0.05, 2.0, 16)
-    covered, d = covers(ball, truth, reg16)
-    assert not covered and d > 0.0
+    assert credible_radius(draws, center, reg16, 0.05) == 0.0
+    d = reg16.metric().distance(reg16.truth_embedding(truth), reg16.center_embedding(center))
+    assert d > 0.0
 
 
-def test_covered_at_larger_inflation(reg16, rng):
-    truth = generate_truth("explicit", beta=1.0, coefficients=[0.4])
-    draws = _coef_draws(0.4 + 0.1 * rng.standard_normal(200))
-    center = posterior_center(draws, reg16)
-    for L, L_bigger in ((0.5, 1.0), (1.0, 4.0)):
-        small = build_ball("hierarchical", draws, center, reg16, 0.05, L, 100)
-        big = build_ball("hierarchical", draws, center, reg16, 0.05, L_bigger, 100)
-        if covers(small, truth, reg16)[0]:
-            assert covers(big, truth, reg16)[0]
+def test_covered_at_larger_inflation(tiny_rows):
+    def ball(row):
+        return row["n"], row["mode"], row["replicate_id"]
 
-
-def test_diameter_proxy_values(reg16):
-    draws = _coef_draws([0.0, 0.3])
-    center = CenterPoint("regression", "coefficients", np.array([0.0]))
-    ball = build_ball("hierarchical", draws, center, reg16, 0.4, 2.0, 100)
-    assert diameter_proxy(ball) == pytest.approx(2 * ball.r_alpha)
-    assert inflated_diameter(ball) == pytest.approx(2 * ball.inflation * ball.r_alpha)
-    zero = build_ball("hierarchical", _coef_draws([0.0]), center, reg16, 0.4, 2.0, 100)
-    assert diameter_proxy(zero) == 0.0
+    flips = 0
+    for _, rows in groupby(sorted(tiny_rows, key=lambda r: (ball(r), r["L"])), key=ball):
+        covered = [row["covered"] for row in rows]
+        assert len(covered) == 5
+        # covered at some L implies covered at every larger L
+        assert covered == sorted(covered)
+        flips += covered[0] != covered[-1]
+    assert flips > 0  # some ball is uncovered at small L and covered at large L
 
 
 def test_well_specified_conjugate_coverage_near_nominal():

@@ -95,11 +95,13 @@ def test_coverage_report_structure_and_L_monotonicity():
     assert sum(cell["k_hist"].values()) == 6
 
 
-def test_zero_inflation_never_covers():
-    report = run_coverage(_tiny_config())
+def test_zero_inflation_covers_no_truth_off_center():
+    report = run_coverage(_tiny_config(L_grid=(0.0,)))
+    assert len(report.rows) == 12
     for row in report.rows:
-        if row["d_truth_center"] > 0:
-            assert row["d_truth_center"] > 0.0 * row["r_alpha"]
+        assert row["inflation"] == 0.0
+        assert row["d_truth_center"] > 0.0
+        assert not row["covered"]
 
 
 def test_parallel_pool_matches_serial(tmp_path):
@@ -187,13 +189,13 @@ def test_negative_control_arm_agrees_with_run_coverage():
 
 def test_coverage_records_view():
     report = run_coverage(_tiny_config(replicates=3, mode="empirical", L_grid=(2.0,)))
-    records = report.records(mode="empirical", L=2.0)
-    assert len(records) == 3
-    assert records[0].replicate_id == 1
-    assert records[0].diameter_proxy == pytest.approx(2 * records[0].r_alpha)
-    assert records[0].covered == (
-        records[0].d_truth_center <= records[0].inflation * records[0].r_alpha
-    )
+    rows = report.rows
+    assert len(rows) == 3
+    assert [row["replicate_id"] for row in rows] == [1, 2, 3]
+    assert all(row["mode"] == "empirical" and row["L"] == 2.0 for row in rows)
+    assert list(rows[0]) == list(harness.COVERAGE_COLUMNS)
+    assert rows[0]["diameter"] == pytest.approx(2 * rows[0]["r_alpha"])
+    assert rows[0]["covered"] == (rows[0]["d_truth_center"] <= rows[0]["inflation"] * rows[0]["r_alpha"])
 
 
 def test_explicit_truth_config_well_specified_coverage():
@@ -253,6 +255,9 @@ def test_cli_simulate_bias_and_coverage(tmp_path):
     assert cli_main(["bias", "--family", "regression", "--n", "300", "--seed", "3",
                      "--k-max", "20", "--out-dir", str(out)]) == 0
     assert (out / "bias.csv").exists()
+    # the flags go through ExperimentConfig, so a bad one fails as a bad config does
+    with pytest.raises(ValueError, match="invalid config: beta must exceed 1/2"):
+        cli_main(["simulate", "--beta", "0.4", "--out-dir", str(out)])
 
     cfg = dict(family="regression", n_grid=[120], replicates=3, draws=100,
                mcmc_burn_in=100, L_grid=[2.0], mode="empirical", seed=11)
@@ -274,11 +279,25 @@ def test_cli_mmle_posterior_credible(tmp_path, capsys):
                      "--count", "200", "--out-dir", out]) == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert sum(payload["k_counts"].values()) == 200
-    assert cli_main(["credible", "--family", "regression", "--n", "200", "--seed", "5",
-                     "--mode", "empirical", "--count", "300", "--out-dir", out]) == 0
-    ball = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert ball["r_alpha"] > 0
-    assert ball["inflation"] == pytest.approx(2.0 * math.sqrt(math.log(200)))
+    # credible prints the coverage row of harness replicate 1 of the equivalent config
+    for family, mode in [("regression", "empirical"), ("regression", "hierarchical"),
+                         ("classification", "empirical"), ("classification", "hierarchical")]:
+        case_dir = tmp_path / f"{family}-{mode}"
+        assert cli_main(["credible", "--family", family, "--n", "200", "--seed", "5",
+                         "--mode", mode, "--count", "150", "--burn-in", "100",
+                         "--out-dir", str(case_dir)]) == 0
+        row = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        config = ExperimentConfig(family=family, n_grid=(200,), seed=5, replicates=1,
+                                  draws=150, mcmc_burn_in=100, L_grid=(2.0,), mode=mode,
+                                  tradeoff_M=())
+        assert row == run_coverage(config).rows[0]
+        assert row["r_alpha"] > 0
+        assert row["inflation"] == pytest.approx(2.0 * math.sqrt(math.log(200)))
+        assert (case_dir / "coverage_report.json").exists()
+        lines = (case_dir / "coverage_replicates.csv").read_text().splitlines()
+        assert lines[0].split(",") == list(row)
+        assert lines[1:] == [",".join(str(int(v) if isinstance(v, bool) else v)
+                                      for v in row.values())]
 
 
 def test_cli_bias_extends_profile_for_polished_tail_like_diagnostics(tmp_path, capsys):
