@@ -38,7 +38,6 @@ from .mcmc import AdaptationError, McmcSettings, adaptive_rwm
 from .metrics import SemiMetric, hellinger_hist_vs_density, hellinger_histograms
 from .priors import (
     ConditionalPrior,
-    GSpec,
     HyperPrior,
     SievePrior,
     default_k_cap,

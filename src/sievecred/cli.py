@@ -4,7 +4,9 @@ Subcommands: simulate, bias, mmle, posterior, credible, coverage, negative,
 rate, diagnostics. Harness subcommands read an ExperimentConfig JSON via
 --config; --seed, --out-dir and --threads override the config. The other
 subcommands build their family, truth and prior through the harness from an
-ExperimentConfig of their flags; credible runs one coverage replicate.
+ExperimentConfig of their flags, and simulate, mmle, posterior and credible work
+on harness replicate 1: data seed `--seed` + 1 and sampler streams
+[seed, 1, stage], so all four see the same dataset and the same evidence table.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .harness import (
     run_negative,
     run_rate,
 )
-from .inference import marginal_table, mmle, sample_given_k, sample_hierarchical
+from .inference import mmle, sample_given_k, sample_hierarchical
 from .truths import truth_to_json
 
 
@@ -59,7 +61,7 @@ def _out_path(args, name):
 
 def cmd_simulate(args):
     ctx = _build_problem(args)
-    data = ctx.family.simulate(ctx.truth, args.n, args.seed)
+    data = ctx.data(1)
     data.to_csv(_out_path(args, "dataset.csv"))
     truth_to_json(ctx.truth, _out_path(args, "truth.json"))
     print(f"wrote dataset.csv and truth.json (n={args.n}, family={args.family})")
@@ -82,8 +84,8 @@ def cmd_bias(args):
 
 def cmd_mmle(args):
     ctx = _build_problem(args)
-    data = ctx.family.simulate(ctx.truth, args.n, args.seed)
-    table = marginal_table(ctx.family, ctx.prior, data, seed=args.seed)
+    data = ctx.data(1)
+    table = ctx.table(data, 1)
     table.to_csv(_out_path(args, "marginal_likelihoods.csv"))
     print(json.dumps({"k_hat": mmle(table)}))
     return 0
@@ -91,13 +93,14 @@ def cmd_mmle(args):
 
 def cmd_posterior(args):
     ctx = _build_problem(args, mcmc_burn_in=args.burn_in)
-    data = ctx.family.simulate(ctx.truth, args.n, args.seed)
+    data = ctx.data(1)
     if args.k is not None:
         draws = sample_given_k(ctx.family, ctx.prior.conditional, data, args.k, args.count,
-                               args.seed, mcmc=ctx.mcmc)
+                               ctx.stream(1, "given_k"), mcmc=ctx.mcmc)
     else:
-        draws = sample_hierarchical(ctx.family, ctx.prior, data, args.count, args.seed,
-                                    mcmc=ctx.mcmc)
+        draws = sample_hierarchical(ctx.family, ctx.prior, data, args.count,
+                                    ctx.stream(1, "hierarchical"), mcmc=ctx.mcmc,
+                                    table=ctx.table(data, 1))
     payload = {"k_counts": draws.k_counts(), "diagnostics": draws.diagnostics}
     with open(_out_path(args, "sampler_diagnostics.json"), "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True))

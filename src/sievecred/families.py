@@ -31,6 +31,7 @@ from .quadrature import DEFAULT_RULE, QuadratureRule
 from .truths import TruthSpec
 
 FAMILY_TAGS = ("regression", "histogram", "loglinear", "classification")
+SMOOTH_FAMILY_TAGS = ("regression", "loglinear", "classification")  # those with `loglik_derivs`
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -57,15 +58,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CenterPoint:
-    """A posterior summary in the family's natural embedding.
-
-    kind 'coefficients': padded coefficient vector (regression).
-    kind 'density': density values on the quadrature grid (histogram, log-linear).
-    kind 'probability': success probabilities on the design (classification).
+    """A posterior summary in the family's natural embedding: the padded coefficient
+    vector (regression), density values on the quadrature grid (histogram,
+    log-linear) or success probabilities on the design (classification).
     """
 
-    family_tag: str
-    kind: str
     values: np.ndarray
     hist_k: Optional[int] = None
     hist_theta: Optional[np.ndarray] = None
@@ -134,8 +131,6 @@ class _OnDesign(_Family):
 class _RowEmbedded(_Family):
     """Center and draw distances computed from the family's `embedding_rows`."""
 
-    center_kind = "density"
-
     def center(self, draws) -> CenterPoint:
         total = 0
         acc = 0.0
@@ -143,7 +138,7 @@ class _RowEmbedded(_Family):
             block = draws.blocks[k]
             acc = acc + self.embedding_rows(block, k).sum(axis=0)
             total += block.shape[0]
-        return CenterPoint(self.tag, self.center_kind, acc / total)
+        return CenterPoint(acc / total)
 
     def center_embedding(self, center: CenterPoint) -> np.ndarray:
         return center.values
@@ -256,7 +251,7 @@ class Regression(_OnDesign):
             block = draws.blocks[k]
             acc[:k] += block.sum(axis=0)
             total += block.shape[0]
-        return CenterPoint(self.tag, "coefficients", acc / total)
+        return CenterPoint(acc / total)
 
     def center_embedding(self, center: CenterPoint) -> np.ndarray:
         return self.design.phi(center.values.size) @ center.values
@@ -353,7 +348,7 @@ class Histogram(_Density):
             block = draws.blocks[k]
             acc = acc + (k * block.sum(axis=0))[self.node_cells(k)]
             total += block.shape[0]
-        center = CenterPoint(self.tag, self.center_kind, acc / total)
+        center = CenterPoint(acc / total)
         if len(draws.blocks) != 1:
             return center
         (k,) = draws.blocks
@@ -491,7 +486,6 @@ class Classification(_RowEmbedded, _OnDesign):
     """Fixed-design binary responses with the logistic link."""
 
     tag = "classification"
-    center_kind = "probability"
 
     def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = 64):
         super().__init__()

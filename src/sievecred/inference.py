@@ -6,6 +6,7 @@ else goes through a Laplace approximation at the posterior mode, optionally
 corrected by importance sampling with the Laplace Gaussian as proposal.
 Within-model sampling is exact where conjugacy allows and otherwise uses
 adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian.
+`route` decides which of these a family and prior take.
 """
 
 from __future__ import annotations
@@ -17,27 +18,20 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .families import CenterPoint, Dataset
+from .families import SMOOTH_FAMILY_TAGS, CenterPoint, Dataset
 from .mcmc import McmcSettings, adaptive_rwm
 from .optimize import damped_newton
-from .priors import (
-    ConditionalPrior,
-    SievePrior,
-    log_prior_density,
-    log_prior_rows,
-    sample_prior,
-)
+from .priors import ConditionalPrior, SievePrior, log_prior_rows, sample_prior
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
-CONJUGATE_EXACT = "conjugate_exact"
-DIRICHLET_EXACT = "dirichlet_exact"
-LAPLACE_APPROX = "laplace_approx"
-IMPORTANCE_SAMPLING = "importance_sampling"
-
 MARGINAL_METHODS = ("auto", "conjugate", "dirichlet", "laplace", "importance")
+# the name each route records in MarginalLikelihoodTable.method
+_ROUTE_NAMES = {"conjugate": "conjugate_exact", "dirichlet": "dirichlet_exact",
+                "laplace": "laplace_approx", "importance": "importance_sampling"}
 
 _ABS_SMOOTHING = 1e-8  # softened |x| used only inside Newton for laplace priors
+_ESS_FLOOR = 64.0  # importance sampling retries, then fails, below this effective sample size
 
 
 def _seed_list(seed) -> list[int]:
@@ -72,10 +66,8 @@ class MarginalLikelihoodTable:
 
 @dataclass
 class PosteriorDraws:
-    family_tag: str
     ks: np.ndarray
     blocks: dict[int, np.ndarray]
-    weights: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -117,23 +109,37 @@ class KPosterior:
         return float(np.exp(logsumexp(np.array(inside))))
 
 
+def route(family_tag: str, prior: ConditionalPrior, method: str = "auto") -> str:
+    """How m_n(k) and the posterior given k are computed for a family and prior.
+
+    'conjugate' (regression, gaussian prior) and 'dirichlet' (histogram,
+    dirichlet prior) are exact. 'laplace' approximates at the posterior mode of
+    a smooth family under a gaussian or laplace prior; 'importance' corrects
+    the evidence of laplace's cases and of 'dirichlet' by importance sampling.
+    'auto' is the exact route where one exists, else 'laplace'. Raises
+    ValueError when `method` names no route for the pairing.
+    """
+    if method not in MARGINAL_METHODS:
+        raise ValueError(f"unknown marginal_method {method!r}")
+    exact = {("regression", "gaussian"): "conjugate",
+             ("histogram", "dirichlet"): "dirichlet"}.get((family_tag, prior.kind))
+    laplace = family_tag in SMOOTH_FAMILY_TAGS and prior.kind != "dirichlet"
+    allowed = {"conjugate": exact == "conjugate", "dirichlet": exact == "dirichlet",
+               "laplace": laplace, "importance": laplace or exact == "dirichlet"}
+    chosen = (exact or "laplace") if method == "auto" else method
+    if not allowed[chosen]:
+        raise ValueError(f"no {method} route for {family_tag} with a {prior.kind} prior")
+    return chosen
+
+
 # ---------------------------------------------------------------------------
 # exact evidence formulas
 
 
-def _exact_route(family, prior: ConditionalPrior) -> Optional[str]:
-    """'conjugate' or 'dirichlet' where the posterior given k is exact, else None."""
-    if family.tag == "regression" and prior.kind == "product" and prior.g.base == "gaussian":
-        return "conjugate"
-    if family.tag == "histogram" and prior.kind == "dirichlet":
-        return "dirichlet"
-    return None
-
-
-def _regression_conjugate(family, g, data: Dataset, k: int):
+def _regression_conjugate(family, prior: ConditionalPrior, data: Dataset, k: int):
     """Posterior (mean, cholesky-of-precision) and evidence for gaussian priors."""
-    tau2 = g.scale**2
-    m0 = np.full(k, g.location)
+    tau2 = prior.scale**2
+    m0 = np.full(k, prior.location)
     gram, phi_y, yy, const = family._quadratic(data, k)
     prec = gram + np.eye(k) / tau2
     b = phi_y + m0 / tau2
@@ -144,7 +150,7 @@ def _regression_conjugate(family, g, data: Dataset, k: int):
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())
     log_m = (
         const
-        - k * np.log(g.scale)
+        - k * np.log(prior.scale)
         - 0.5 * log_det
         + 0.5 * (float(half @ half) - c)
     )
@@ -168,28 +174,26 @@ def _dirichlet_log_m(family, prior: ConditionalPrior, data: Dataset, k: int) -> 
 # Laplace machinery for the non-conjugate routes
 
 
-def _neg_log_post_parts(family, g, data: Dataset, k: int):
+def _neg_log_post_parts(family, prior: ConditionalPrior, data: Dataset, k: int):
     """Callable theta -> (value, grad, hess) of -(loglik + logprior), unscaled."""
-    if not hasattr(family, "loglik_derivs"):
-        raise ValueError(f"laplace route not available for family {family.tag!r}")
     lik_parts = family.loglik_derivs(data, k)
 
-    if g.base == "gaussian":
-        s2 = g.scale**2
+    if prior.kind == "gaussian":
+        s2 = prior.scale**2
 
         def prior_parts(theta):
-            d = theta - g.location
+            d = theta - prior.location
             value = -0.5 * k * np.log(2.0 * np.pi * s2) - 0.5 * float(d @ d) / s2
             return value, -d / s2, -np.eye(k) / s2
 
     else:
 
         def prior_parts(theta):
-            d = theta - g.location
+            d = theta - prior.location
             soft = np.sqrt(d**2 + _ABS_SMOOTHING**2)
-            value = -k * np.log(2.0 * g.scale) - float(soft.sum()) / g.scale
-            grad = -(d / soft) / g.scale
-            hess = -np.diag(_ABS_SMOOTHING**2 / soft**3) / g.scale
+            value = -k * np.log(2.0 * prior.scale) - float(soft.sum()) / prior.scale
+            grad = -(d / soft) / prior.scale
+            hess = -np.diag(_ABS_SMOOTHING**2 / soft**3) / prior.scale
             return value, grad, hess
 
     def parts(theta):
@@ -200,9 +204,9 @@ def _neg_log_post_parts(family, g, data: Dataset, k: int):
     return parts
 
 
-def _laplace_fit(family, g, data: Dataset, k: int):
+def _laplace_fit(family, prior: ConditionalPrior, data: Dataset, k: int):
     """Posterior mode, neg-hessian cholesky and Laplace log evidence."""
-    parts = _neg_log_post_parts(family, g, data, k)
+    parts = _neg_log_post_parts(family, prior, data, k)
     scale = 1.0 / max(data.n, 1)
 
     def scaled(theta):
@@ -213,15 +217,14 @@ def _laplace_fit(family, g, data: Dataset, k: int):
     value, _, hess = parts(mode)
     chol = np.linalg.cholesky(hess)
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-    prior = ConditionalPrior("product", g=g)
-    exact_value = family.loglik(data, k)(mode[None, :])[0] + log_prior_density(prior, mode)
+    row = mode[None, :]
+    exact_value = family.loglik(data, k)(row)[0] + log_prior_rows(prior, row)[0]
     log_m = exact_value + 0.5 * k * _LOG2PI - 0.5 * log_det
     return mode, chol, float(log_m), info
 
 
-def _importance_product(family, g, data, k, mode, chol, particles, ess_floor, rng):
+def _importance_product(family, prior, data, k, mode, chol, particles, rng):
     """IS evidence using N(mode, H^-1 scale^2) as proposal; retries once wider."""
-    prior = ConditionalPrior("product", g=g)
     loglik = family.loglik(data, k)
     log_det_h = 2.0 * float(np.log(np.diag(chol)).sum())
     for scale in (1.0, 2.0):
@@ -235,12 +238,12 @@ def _importance_product(family, g, data, k, mode, chol, particles, ess_floor, rn
         )
         log_w = loglik(thetas) + log_prior_rows(prior, thetas) - log_q
         log_m, ess, se = _log_mean_weights(log_w)
-        if ess >= ess_floor:
+        if ess >= _ESS_FLOOR:
             return log_m, ess, se
-    raise RuntimeError(f"importance sampling ESS {ess:.1f} below floor {ess_floor}")
+    raise RuntimeError(f"importance sampling ESS {ess:.1f} below floor {_ESS_FLOOR}")
 
 
-def _importance_dirichlet(family, prior, data, k, particles, ess_floor, rng):
+def _importance_dirichlet(family, prior, data, k, particles, rng):
     """IS evidence for histograms with a flattened-posterior Dirichlet proposal."""
     alphas = prior.alphas(k)
     counts = family.counts(data, k)
@@ -251,9 +254,9 @@ def _importance_dirichlet(family, prior, data, k, particles, ess_floor, rng):
         proposal = ConditionalPrior("dirichlet", alpha_rule=lambda kk, nu=nu: nu)
         log_w = loglik(thetas) + log_prior_rows(prior, thetas) - log_prior_rows(proposal, thetas)
         log_m, ess, se = _log_mean_weights(log_w)
-        if ess >= ess_floor:
+        if ess >= _ESS_FLOOR:
             return log_m, ess, se
-    raise RuntimeError(f"importance sampling ESS {ess:.1f} below floor {ess_floor}")
+    raise RuntimeError(f"importance sampling ESS {ess:.1f} below floor {_ESS_FLOOR}")
 
 
 def _log_mean_weights(log_w: np.ndarray):
@@ -283,46 +286,31 @@ def marginal_likelihood(
     method: str = "auto",
     seed=0,
     is_particles: int = 2048,
-    ess_floor: float = 64.0,
 ):
     """log m_n(k) with the route taken and diagnostics.
 
     The e^{-l_n(theta_0)} normalization used in proofs is omitted: it cancels in
     the argmax and in the posterior over k.
     """
-    if method == "auto":
-        method = _exact_route(family, prior) or ("laplace" if prior.kind == "product" else None)
-        if method is None:
-            raise ValueError(f"no marginal likelihood route for {family.tag} + {prior.kind}")
+    chosen = route(family.tag, prior, method)
+    name = _ROUTE_NAMES[chosen]
     if data.n == 0:
-        name = {
-            "conjugate": CONJUGATE_EXACT,
-            "dirichlet": DIRICHLET_EXACT,
-            "laplace": LAPLACE_APPROX,
-            "importance": IMPORTANCE_SAMPLING,
-        }[method]
         return 0.0, name, {}
-    if method == "conjugate":
-        _, _, log_m = _regression_conjugate(family, prior.g, data, k)
-        return log_m, CONJUGATE_EXACT, {}
-    if method == "dirichlet":
-        return _dirichlet_log_m(family, prior, data, k), DIRICHLET_EXACT, {}
-    if method == "laplace":
-        _, _, log_m, info = _laplace_fit(family, prior.g, data, k)
-        return log_m, LAPLACE_APPROX, {"newton": info}
-    if method == "importance":
-        rng = np.random.default_rng(_seed_list(seed))
-        if family.tag == "histogram":
-            log_m, ess, se = _importance_dirichlet(
-                family, prior, data, k, is_particles, ess_floor, rng
-            )
-        else:
-            mode, chol, _, _ = _laplace_fit(family, prior.g, data, k)
-            log_m, ess, se = _importance_product(
-                family, prior.g, data, k, mode, chol, is_particles, ess_floor, rng
-            )
-        return log_m, IMPORTANCE_SAMPLING, {"ess": ess, "se_log_m": se}
-    raise ValueError(f"unknown method {method!r}")
+    if chosen == "conjugate":
+        _, _, log_m = _regression_conjugate(family, prior, data, k)
+        return log_m, name, {}
+    if chosen == "dirichlet":
+        return _dirichlet_log_m(family, prior, data, k), name, {}
+    if chosen == "laplace":
+        _, _, log_m, info = _laplace_fit(family, prior, data, k)
+        return log_m, name, {"newton": info}
+    rng = np.random.default_rng(_seed_list(seed))
+    if prior.kind == "dirichlet":
+        log_m, ess, se = _importance_dirichlet(family, prior, data, k, is_particles, rng)
+    else:
+        mode, chol, _, _ = _laplace_fit(family, prior, data, k)
+        log_m, ess, se = _importance_product(family, prior, data, k, mode, chol, is_particles, rng)
+    return log_m, name, {"ess": ess, "se_log_m": se}
 
 
 def marginal_table(
@@ -332,7 +320,6 @@ def marginal_table(
     method: str = "auto",
     seed=0,
     is_particles: int = 2048,
-    ess_floor: float = 64.0,
 ) -> MarginalLikelihoodTable:
     log_m, methods, ess = {}, {}, {}
     base = _seed_list(seed)
@@ -345,7 +332,6 @@ def marginal_table(
             method=method,
             seed=base + [k],
             is_particles=is_particles,
-            ess_floor=ess_floor,
         )
         log_m[k] = value
         methods[k] = used
@@ -373,37 +359,36 @@ def sample_given_k(
     seed,
     mcmc: Optional[McmcSettings] = None,
 ) -> PosteriorDraws:
-    """Exact draws where conjugacy allows, preconditioned RWM otherwise."""
+    """Exact draws on the exact routes, preconditioned RWM on the laplace route."""
     rng = np.random.default_rng(_seed_list(seed))
     ks = np.full(count, k, dtype=int)
-    route = _exact_route(family, prior)
+    sampler = route(family.tag, prior)
     if data.n == 0:
         block = sample_prior(prior, k, count, rng)
         diag = {"sampler": "prior"}
-    elif route == "conjugate":
-        mean, chol, _ = _regression_conjugate(family, prior.g, data, k)
+    elif sampler == "conjugate":
+        mean, chol, _ = _regression_conjugate(family, prior, data, k)
         z = rng.standard_normal((count, k))
         block = mean + np.linalg.solve(chol.T, z.T).T
         diag = {"sampler": "conjugate"}
-    elif route == "dirichlet":
+    elif sampler == "dirichlet":
         block = rng.dirichlet(prior.alphas(k) + family.counts(data, k), size=count)
         diag = {"sampler": "dirichlet"}
-    elif prior.kind == "product":
+    else:
         settings = mcmc or McmcSettings()
         settings = replace(settings, keep=count)
-        mode, chol, _, _ = _laplace_fit(family, prior.g, data, k)
+        mode, chol, _, _ = _laplace_fit(family, prior, data, k)
         # proposal covariance = inverse curvature at the mode
         cov_chol = np.linalg.inv(chol).T
         loglik = family.loglik(data, k)
 
         def log_target(theta):
-            return loglik(theta[None, :])[0] + log_prior_density(prior, theta)
+            row = theta[None, :]
+            return (loglik(row) + log_prior_rows(prior, row))[0]
 
         block, diag = adaptive_rwm(log_target, mode, cov_chol, settings, rng)
         diag["sampler"] = "rwm"
-    else:
-        raise ValueError(f"no sampler for {family.tag} + {prior.kind}")
-    return PosteriorDraws(family.tag, ks, {k: block}, diagnostics=diag)
+    return PosteriorDraws(ks, {k: block}, diagnostics=diag)
 
 
 def sample_hierarchical(
@@ -425,7 +410,7 @@ def sample_hierarchical(
     probs /= probs.sum()
     rng = np.random.default_rng(base + [104729])
     ks = rng.choice(support, size=count, p=probs)
-    exact = data.n == 0 or _exact_route(family, prior.conditional) is not None
+    exact = data.n == 0 or route(family.tag, prior.conditional) != "laplace"
     min_chain = 1 if exact else 256  # short MCMC chains mix and diagnose poorly
     blocks: dict[int, np.ndarray] = {}
     samplers = {}
@@ -442,7 +427,7 @@ def sample_hierarchical(
         blocks[int(k)] = block
         samplers[int(k)] = child.diagnostics
     diagnostics = {"k_posterior": kpost.mass(), "samplers": samplers}
-    return PosteriorDraws(family.tag, ks, blocks, diagnostics=diagnostics)
+    return PosteriorDraws(ks, blocks, diagnostics=diagnostics)
 
 
 def posterior_center(draws: PosteriorDraws, family) -> CenterPoint:

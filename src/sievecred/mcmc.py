@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TARGET_ACCEPT = 0.23  # burn-in steers the proposal scale toward this acceptance rate
+ACCEPT_LOW, ACCEPT_HIGH = 0.05, 0.6  # the band the kept-phase acceptance rate must lie in
+
 
 class AdaptationError(RuntimeError):
     pass
@@ -16,9 +19,6 @@ class McmcSettings:
     burn_in: int = 5000
     keep: int = 20000
     thin: int = 1
-    target_accept: float = 0.23
-    accept_low: float = 0.05
-    accept_high: float = 0.6
 
 
 def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
@@ -27,7 +27,7 @@ def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
     The global scale s follows a Robbins-Monro recursion toward the target
     acceptance rate during burn-in and is frozen afterwards, so the kept chain
     satisfies detailed balance for `log_target`. Raises AdaptationError when
-    the kept-phase acceptance rate leaves the configured band.
+    the kept-phase acceptance rate leaves [ACCEPT_LOW, ACCEPT_HIGH].
 
     Returns (samples, diagnostics) with samples of shape (keep, dim).
     """
@@ -63,7 +63,7 @@ def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
             lp = lp_prop
         if t < settings.burn_in:
             gamma = 2.0 / (t + 10.0) ** 0.6
-            log_s += gamma * ((1.0 if accept else 0.0) - settings.target_accept)
+            log_s += gamma * ((1.0 if accept else 0.0) - TARGET_ACCEPT)
             log_s = float(np.clip(log_s, -20.0, 5.0))
         else:
             kept_steps += 1
@@ -72,10 +72,9 @@ def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
                 kept[kept_idx] = x
                 kept_idx += 1
     rate = accepted_kept / max(kept_steps, 1)
-    if not settings.accept_low <= rate <= settings.accept_high:
+    if not ACCEPT_LOW <= rate <= ACCEPT_HIGH:
         raise AdaptationError(
-            f"kept-phase acceptance rate {rate:.3f} outside "
-            f"[{settings.accept_low}, {settings.accept_high}]"
+            f"kept-phase acceptance rate {rate:.3f} outside [{ACCEPT_LOW}, {ACCEPT_HIGH}]"
         )
     diagnostics = {
         "acceptance_rate": float(rate),

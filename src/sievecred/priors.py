@@ -17,46 +17,37 @@ from scipy.special import gammaln, logsumexp
 
 
 @dataclass(frozen=True)
-class GSpec:
-    base: str = "gaussian"
+class ConditionalPrior:
+    """The prior on Theta(k), by `kind`: an iid product of the "gaussian" or "laplace"
+    density g with `location` and `scale`, or a "dirichlet" with `alpha` on the simplex."""
+
+    kind: str
     location: float = 0.0
     scale: float = 1.0
-
-    def __post_init__(self):
-        if self.base not in ("gaussian", "laplace"):
-            raise ValueError(f"unknown base density {self.base!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    @property
-    def tail_q(self) -> float:
-        return 2.0 if self.base == "gaussian" else 1.0
-
-    def logpdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.base == "gaussian":
-            return -0.5 * np.log(2.0 * np.pi * self.scale**2) - (x - self.location) ** 2 / (
-                2.0 * self.scale**2
-            )
-        return -np.log(2.0 * self.scale) - np.abs(x - self.location) / self.scale
-
-
-@dataclass(frozen=True)
-class ConditionalPrior:
-    kind: str  # "product" or "dirichlet"
-    g: Optional[GSpec] = None
     alpha: float = 1.0
     alpha_rule: Optional[Callable[[int], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind == "product":
-            if self.g is None:
-                raise ValueError("product prior requires a GSpec")
-        elif self.kind == "dirichlet":
+        if self.kind not in ("gaussian", "laplace", "dirichlet"):
+            raise ValueError(f"unknown conditional prior kind {self.kind!r}")
+        if self.kind == "dirichlet":
             if self.alpha_rule is None and self.alpha <= 0:
                 raise ValueError("dirichlet prior requires positive alpha")
-        else:
-            raise ValueError(f"unknown conditional prior kind {self.kind!r}")
+        elif self.scale <= 0:
+            raise ValueError("scale must be positive")
+
+    @property
+    def tail_q(self) -> float:
+        return 2.0 if self.kind == "gaussian" else 1.0
+
+    def logpdf(self, x) -> np.ndarray:
+        """log g(x) for the base density g of a gaussian or laplace prior."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "gaussian":
+            return -0.5 * np.log(2.0 * np.pi * self.scale**2) - (x - self.location) ** 2 / (
+                2.0 * self.scale**2
+            )
+        return -np.log(2.0 * self.scale) - np.abs(x - self.location) / self.scale
 
     def alphas(self, k: int) -> np.ndarray:
         if self.alpha_rule is not None:
@@ -65,11 +56,11 @@ class ConditionalPrior:
 
 
 def gaussian_prior(location: float = 0.0, scale: float = 1.0) -> ConditionalPrior:
-    return ConditionalPrior("product", g=GSpec("gaussian", location, scale))
+    return ConditionalPrior("gaussian", location, scale)
 
 
 def laplace_prior(location: float = 0.0, scale: float = 1.0) -> ConditionalPrior:
-    return ConditionalPrior("product", g=GSpec("laplace", location, scale))
+    return ConditionalPrior("laplace", location, scale)
 
 
 def dirichlet_prior(alpha: float = 1.0, alpha_rule=None) -> ConditionalPrior:
@@ -78,24 +69,16 @@ def dirichlet_prior(alpha: float = 1.0, alpha_rule=None) -> ConditionalPrior:
 
 def log_prior_density(prior: ConditionalPrior, theta) -> float:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if prior.kind == "product":
-        return float(prior.g.logpdf(theta).sum())
-    if np.any(theta < 0) or abs(float(theta.sum()) - 1.0) > 1e-10:
+    if prior.kind == "dirichlet" and (np.any(theta < 0) or abs(float(theta.sum()) - 1.0) > 1e-10):
         raise ValueError("dirichlet density requires a point on the simplex")
-    alphas = prior.alphas(theta.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(alphas == 1.0, 0.0, (alphas - 1.0) * np.log(theta))
-    if np.any(np.isnan(terms)):
-        return -np.inf
-    norm = gammaln(alphas.sum()) - gammaln(alphas).sum()
-    return float(norm + terms.sum())
+    return float(log_prior_rows(prior, theta[None])[0])
 
 
 def log_prior_rows(prior: ConditionalPrior, thetas: np.ndarray) -> np.ndarray:
     """log_prior_density applied to each row of a (count, k) array."""
     thetas = np.asarray(thetas, dtype=float)
-    if prior.kind == "product":
-        return prior.g.logpdf(thetas).sum(axis=1)
+    if prior.kind != "dirichlet":
+        return prior.logpdf(thetas).sum(axis=1)
     alphas = prior.alphas(thetas.shape[1])
     norm = gammaln(alphas.sum()) - gammaln(alphas).sum()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -109,11 +92,10 @@ def sample_prior(prior: ConditionalPrior, k: int, count: int, seed) -> np.ndarra
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if prior.kind == "product":
-        g = prior.g
-        if g.base == "gaussian":
-            return rng.normal(g.location, g.scale, size=(count, k))
-        return rng.laplace(g.location, g.scale, size=(count, k))
+    if prior.kind == "gaussian":
+        return rng.normal(prior.location, prior.scale, size=(count, k))
+    if prior.kind == "laplace":
+        return rng.laplace(prior.location, prior.scale, size=(count, k))
     return rng.dirichlet(prior.alphas(k), size=count)
 
 
@@ -217,24 +199,20 @@ def prior_from_config(config: dict, family_tag: str, n: int) -> SievePrior:
     kind = _section_kind(config, "hyper", family_tag)
     param = hyper_cfg.get("p" if kind == "geometric" else "lambda", 0.5)
     k_cap = config.get("k_cap", default_k_cap(n, config.get("k_cap_exponent", 0.4)))
-    cond_cfg = config.get("conditional") or {}
-    cond_kind = _section_kind(config, "conditional", family_tag)
-    if cond_kind == "dirichlet":
-        conditional = dirichlet_prior(alpha=cond_cfg.get("alpha", 1.0))
-    else:
-        g = GSpec(cond_kind, cond_cfg.get("location", 0.0), cond_cfg.get("scale", 1.0))
-        conditional = ConditionalPrior("product", g=g)
+    # the keys each conditional kind reads are ConditionalPrior's field names
+    conditional = ConditionalPrior(**{**(config.get("conditional") or {}),
+                                      "kind": _section_kind(config, "conditional", family_tag)})
     return SievePrior(hyper=hyper_prior(kind, param, k_cap), conditional=conditional)
 
 
-def g_envelope_constants(g: GSpec) -> dict:
+def g_envelope_constants(prior: ConditionalPrior) -> dict:
     """Constants G1..G4 with G1 e^{-G2 |x|^q} <= g(x) <= G3 e^{-G4 |x|^q}.
 
     For centered densities the bounds are exact; a nonzero location is absorbed
     into the constants via |x - mu|^q <=> |x|^q comparisons.
     """
-    mu, s, q = g.location, g.scale, g.tail_q
-    if g.base == "gaussian":
+    mu, s, q = prior.location, prior.scale, prior.tail_q
+    if prior.kind == "gaussian":
         peak = 1.0 / math.sqrt(2.0 * math.pi * s**2)
         if mu == 0.0:
             return {"G1": peak, "G2": 1.0 / (2 * s**2), "G3": peak, "G4": 1.0 / (2 * s**2), "q": q}
@@ -251,11 +229,11 @@ def g_envelope_constants(g: GSpec) -> dict:
     return {"G1": peak / shift, "G2": 1.0 / s, "G3": peak * shift, "G4": 1.0 / s, "q": q}
 
 
-def check_g_envelope(g: GSpec, xs=None) -> bool:
+def check_g_envelope(prior: ConditionalPrior, xs=None) -> bool:
     if xs is None:
         xs = np.linspace(-20.0, 20.0, 4001)
-    consts = g_envelope_constants(g)
-    log_g = g.logpdf(xs)
+    consts = g_envelope_constants(prior)
+    log_g = prior.logpdf(xs)
     lower = np.log(consts["G1"]) - consts["G2"] * np.abs(xs) ** consts["q"]
     upper = np.log(consts["G3"]) - consts["G4"] * np.abs(xs) ** consts["q"]
     return bool(np.all(lower <= log_g + 1e-12) and np.all(log_g <= upper + 1e-12))

@@ -110,7 +110,7 @@ def test_criterion_03_mcmc_and_laplace_validation():
     mean = np.linalg.solve(prec, phi.T @ data.y)
     cov = np.linalg.inv(prec)
 
-    mode, chol, _, _ = _laplace_fit(fam, prior.g, data, k)
+    mode, chol, _, _ = _laplace_fit(fam, prior, data, k)
     loglik = fam.loglik(data, k)
 
     def log_target(theta):
@@ -278,9 +278,9 @@ def test_criterion_09_property_suite_spotchecks():
     from sievecred.families import CenterPoint
     from sievecred.inference import PosteriorDraws
 
-    draws = PosteriorDraws("regression", np.ones(100, dtype=int),
+    draws = PosteriorDraws(np.ones(100, dtype=int),
                            {1: (0.01 * np.arange(1, 101)).reshape(-1, 1)})
-    center = CenterPoint("regression", "coefficients", np.array([0.0]))
+    center = CenterPoint(np.array([0.0]))
     checks.append(("quantile convention",
                    credible_radius(draws, center, fam, 0.05) == pytest.approx(0.95, abs=1e-12)))
 

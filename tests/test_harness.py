@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import sievecred.harness as harness
-from sievecred import ExperimentConfig, fit_rate, run_coverage, run_diagnostics, run_negative, run_rate
+from sievecred import (
+    ExperimentConfig,
+    fit_rate,
+    k_posterior,
+    run_coverage,
+    run_diagnostics,
+    run_negative,
+    run_rate,
+)
 from sievecred.cli import main as cli_main
 
 
@@ -59,6 +67,15 @@ def test_config_validation():
         {"prior": {"hyper": {"kind": "poisson", "p": 0.2}}},
         {"prior": {"conditional": {"kind": "dirichlet", "scale": 3.0}}},
         {"prior": {"conditional": {"kind": "gaussian", "alpha": 2.0}}},
+        {"L_grid": (-1.0,)},
+        # pairings with no route, and prior values the prior rejects
+        {"family": "histogram", "prior": {"conditional": {"kind": "gaussian"}}},
+        {"family": "classification", "prior": {"conditional": {"kind": "dirichlet"}}},
+        {"family": "classification", "marginal_method": "conjugate"},
+        {"marginal_method": "dirichlet"},
+        {"family": "histogram", "marginal_method": "laplace"},
+        {"prior": {"hyper": {"kind": "geometric", "p": 1.5}}},
+        {"prior": {"conditional": {"kind": "gaussian", "scale": -1.0}}},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
@@ -298,6 +315,35 @@ def test_cli_mmle_posterior_credible(tmp_path, capsys):
         assert lines[0].split(",") == list(row)
         assert lines[1:] == [",".join(str(int(v) if isinstance(v, bool) else v)
                                       for v in row.values())]
+
+
+def test_cli_commands_work_on_replicate_one(tmp_path, capsys):
+    # simulate, mmle and posterior see the dataset and evidence table of credible's replicate
+    for family in ("regression", "classification"):
+        for seed in (5, 7):
+            flags = ["--family", family, "--n", "200", "--seed", str(seed)]
+            out = tmp_path / f"{family}-{seed}"
+            assert cli_main(["simulate", *flags, "--out-dir", str(out)]) == 0
+            ctx = harness._Context(ExperimentConfig(family=family, seed=seed, n_grid=(200,)), 200)
+            lines = (out / "dataset.csv").read_text().splitlines()[1:]
+            ys = [float(line.split(",")[1]) for line in lines]
+            assert ys == ctx.family.simulate(ctx.truth, 200, seed + 1).y.tolist()
+            capsys.readouterr()
+            assert cli_main(["mmle", *flags, "--out-dir", str(out)]) == 0
+            k_hat = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["k_hat"]
+            assert cli_main(["credible", *flags, "--mode", "empirical", "--count", "150",
+                             "--burn-in", "100", "--out-dir", str(out)]) == 0
+            row = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert k_hat == row["k_hat"]
+    # posterior without --k draws from replicate 1's own k-posterior
+    assert cli_main(["posterior", "--n", "200", "--seed", "5", "--count", "100",
+                     "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    ctx = harness._Context(ExperimentConfig(seed=5, n_grid=(200,)), 200)
+    kpost = k_posterior(ctx.table(ctx.data(1), 1), ctx.prior.hyper).mass()
+    assert payload["diagnostics"]["k_posterior"] == {str(k): v for k, v in kpost.items()}
+    with pytest.raises(ValueError, match="invalid config: every L must be >= 0"):
+        cli_main(["credible", "--n", "200", "--L", "-1", "--out-dir", str(tmp_path)])
 
 
 def test_cli_bias_extends_profile_for_polished_tail_like_diagnostics(tmp_path, capsys):

@@ -21,8 +21,8 @@ from sievecred import (
     sample_prior,
 )
 from sievecred.basis import DesignGrid
-from sievecred.families import Dataset, Regression
-from sievecred.inference import _regression_conjugate
+from sievecred.families import FAMILY_TAGS, Dataset, Regression
+from sievecred.inference import MARGINAL_METHODS, _regression_conjugate, route
 from sievecred.mcmc import McmcSettings
 from sievecred.priors import SievePrior
 
@@ -116,7 +116,7 @@ def test_cached_gram_is_the_reference_product(n, truth_b1):
         assert table.log_m[k] == log_m
 
 
-def test_importance_sampling_matches_exact_routes(reg500, truth_b1):
+def test_importance_sampling_matches_exact_evidence(reg500, truth_b1):
     data = reg500.simulate(truth_b1, 500, seed=9)
     exact, _, _ = marginal_likelihood(reg500, gaussian_prior(), data, 3, method="conjugate")
     log_m, method, diag = marginal_likelihood(
@@ -135,6 +135,35 @@ def test_importance_sampling_matches_exact_routes(reg500, truth_b1):
             fam, dirichlet_prior(1.0), data, k, method="importance", seed=7, is_particles=4096
         )
         assert abs(log_m - exact) < 3 * diag["se_log_m"]
+
+
+def test_route_table():
+    # (family, prior kind) -> (the auto route, every route it has); other pairs have none
+    routes = {
+        ("regression", "gaussian"): ("conjugate", {"conjugate", "laplace", "importance"}),
+        ("regression", "laplace"): ("laplace", {"laplace", "importance"}),
+        ("histogram", "dirichlet"): ("dirichlet", {"dirichlet", "importance"}),
+        ("loglinear", "gaussian"): ("laplace", {"laplace", "importance"}),
+        ("loglinear", "laplace"): ("laplace", {"laplace", "importance"}),
+        ("classification", "gaussian"): ("laplace", {"laplace", "importance"}),
+        ("classification", "laplace"): ("laplace", {"laplace", "importance"}),
+    }
+    priors = {"gaussian": gaussian_prior(), "laplace": laplace_prior(),
+              "dirichlet": dirichlet_prior()}
+    for tag in FAMILY_TAGS:
+        smooth = hasattr(make_family(tag, n=50), "loglik_derivs")
+        for kind, prior in priors.items():
+            auto, allowed = routes.get((tag, kind), (None, set()))
+            assert ("laplace" in allowed) == (smooth and kind != "dirichlet")
+            for method in MARGINAL_METHODS:
+                expected = auto if method == "auto" else (method if method in allowed else None)
+                if expected is None:
+                    with pytest.raises(ValueError, match=f"no {method} route"):
+                        route(tag, prior, method)
+                else:
+                    assert route(tag, prior, method) == expected
+    with pytest.raises(ValueError, match="unknown marginal_method"):
+        route("regression", gaussian_prior(), "exact")
 
 
 def test_marginal_table_and_csv(tmp_path, reg500, truth_b1):
@@ -275,7 +304,7 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     from sievecred.mcmc import adaptive_rwm
     from sievecred.priors import log_prior_density
 
-    mode, chol, _, _ = _laplace_fit(reg500, gaussian_prior().g, data, k)
+    mode, chol, _, _ = _laplace_fit(reg500, gaussian_prior(), data, k)
     loglik = reg500.loglik(data, k)
 
     def log_target(theta):
@@ -346,16 +375,15 @@ def test_center_of_identical_draws(reg500):
     from sievecred.inference import PosteriorDraws
 
     theta = np.array([1.5, -2.0])
-    draws = PosteriorDraws("regression", np.full(10, 2), {2: np.tile(theta, (10, 1))})
+    draws = PosteriorDraws(np.full(10, 2), {2: np.tile(theta, (10, 1))})
     center = posterior_center(draws, reg500)
-    assert center.kind == "coefficients"
     assert np.allclose(center.values, theta)
 
 
 def test_center_averages_coefficients(reg500):
     from sievecred.inference import PosteriorDraws
 
-    draws = PosteriorDraws("regression", np.ones(2, dtype=int),
+    draws = PosteriorDraws(np.ones(2, dtype=int),
                            {1: np.array([[-1.0], [1.0]])})
     assert posterior_center(draws, reg500).values[0] == pytest.approx(0.0)
 
@@ -396,7 +424,7 @@ def test_histogram_center_mixture_density(hist_family):
     from sievecred.inference import PosteriorDraws
 
     blocks = {2: np.array([[0.5, 0.5]]), 4: np.array([[0.25, 0.25, 0.25, 0.25]])}
-    draws = PosteriorDraws("histogram", np.array([2, 4]), blocks)
+    draws = PosteriorDraws(np.array([2, 4]), blocks)
     center = posterior_center(draws, hist_family)
     # both draws are the uniform density, so the mixture is too
     assert np.allclose(center.values, 1.0, atol=1e-12)

@@ -13,7 +13,7 @@ from sievecred import (
     prior_from_config,
     sample_prior,
 )
-from sievecred.priors import GSpec, check_g_envelope, hyper_envelope_report
+from sievecred.priors import check_g_envelope, hyper_envelope_report
 
 
 def test_standard_normal_at_zero():
@@ -66,7 +66,7 @@ def test_prior_mass_integrates_to_one():
     for prior in (gaussian_prior(), laplace_prior(scale=0.5)):
         mass1 = np.exp([log_prior_density(prior, np.array([x])) for x in xs]).sum() * dx
         assert mass1 == pytest.approx(1.0, abs=1e-3)
-        g = np.exp(prior.g.logpdf(xs))
+        g = np.exp(prior.logpdf(xs))
         mass2 = (np.outer(g, g)).sum() * dx * dx
         assert mass2 == pytest.approx(1.0, abs=1e-3)
     # Dirichlet(2, 1) on the simplex edge parameterized by the first coordinate
@@ -109,10 +109,10 @@ def test_geometric_slope_fit_oracle():
 @pytest.mark.parametrize(
     "g",
     [
-        GSpec("gaussian", 0.0, 1.0),
-        GSpec("gaussian", 0.5, 2.0),
-        GSpec("laplace", 0.0, 1.0),
-        GSpec("laplace", -0.3, 0.7),
+        gaussian_prior(0.0, 1.0),
+        gaussian_prior(0.5, 2.0),
+        laplace_prior(0.0, 1.0),
+        laplace_prior(-0.3, 0.7),
     ],
 )
 def test_tail_envelope_holds_pointwise(g):
@@ -120,8 +120,8 @@ def test_tail_envelope_holds_pointwise(g):
 
 
 def test_gaussian_envelope_q_two_laplace_q_one():
-    assert GSpec("gaussian").tail_q == 2.0
-    assert GSpec("laplace").tail_q == 1.0
+    assert gaussian_prior().tail_q == 2.0
+    assert laplace_prior().tail_q == 1.0
 
 
 def test_hyper_envelope_report():
@@ -151,7 +151,7 @@ def test_prior_from_config_defaults():
         1000,
     )
     assert sieve.hyper.kind == "poisson"
-    assert sieve.conditional.g.base == "laplace"
+    assert sieve.conditional.kind == "laplace"
     assert sieve.hyper.k_cap == int(np.ceil(1000**0.3))
 
 
