@@ -12,7 +12,7 @@ from .bias import (
     tradeoff_set,
 )
 from .credible import credible_radius, wilson_interval
-from .families import CenterPoint, Dataset, make_family
+from .families import Dataset, make_family
 from .harness import (
     CoverageReport,
     ExperimentConfig,

@@ -11,10 +11,8 @@ import math
 
 import numpy as np
 
-from .families import CenterPoint
 
-
-def credible_radius(draws, center: CenterPoint, family, alpha: float) -> float:
+def credible_radius(draws, center: np.ndarray, family, alpha: float) -> float:
     """Lower empirical (1 - alpha)-quantile of d(theta_s, center) over draws."""
     if draws.count == 0:
         raise ValueError("no draws")

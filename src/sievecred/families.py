@@ -17,7 +17,7 @@ kept in the family's memo.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -54,18 +54,6 @@ class Dataset:
             xs = self.design.points if self.design is not None else [""] * self.n
             for x, y in zip(xs, self.y):
                 writer.writerow([x if x == "" else repr(float(x)), repr(float(y))])
-
-
-@dataclass(frozen=True)
-class CenterPoint:
-    """A posterior summary in the family's natural embedding: the padded coefficient
-    vector (regression), density values on the quadrature grid (histogram,
-    log-linear) or success probabilities on the design (classification).
-    """
-
-    values: np.ndarray
-    hist_k: Optional[int] = None
-    hist_theta: Optional[np.ndarray] = None
 
 
 def _simplex_check(theta: np.ndarray):
@@ -129,26 +117,30 @@ class _OnDesign(_Family):
 
 
 class _RowEmbedded(_Family):
-    """Center and draw distances computed from the family's `embedding_rows`."""
+    """Center, draw distances and bias from `embedding_rows`; a center is its own embedding."""
 
-    def center(self, draws) -> CenterPoint:
+    def center(self, draws) -> np.ndarray:
         total = 0
         acc = 0.0
         for k in sorted(draws.blocks):
             block = draws.blocks[k]
             acc = acc + self.embedding_rows(block, k).sum(axis=0)
             total += block.shape[0]
-        return CenterPoint(acc / total)
+        return acc / total
 
-    def center_embedding(self, center: CenterPoint) -> np.ndarray:
-        return center.values
+    def center_embedding(self, center: np.ndarray) -> np.ndarray:
+        return center
 
-    def draw_distances(self, draws, center: CenterPoint) -> np.ndarray:
+    def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
         metric = self.metric()
         return np.concatenate([
-            metric.distances(self.embedding_rows(draws.blocks[k], k), center.values)
+            metric.distances(self.embedding_rows(draws.blocks[k], k), center)
             for k in sorted(draws.blocks)
         ])
+
+    def bias_sq(self, truth: TruthSpec, k: int) -> float:
+        projected = self.embedding_rows(self.project(truth, k)[None, :], k)[0]
+        return self.metric().distance(self.truth_embedding(truth), projected) ** 2
 
 
 class _Density(_RowEmbedded):
@@ -243,7 +235,7 @@ class Regression(_OnDesign):
     def metric(self) -> SemiMetric:
         return SemiMetric("empirical_l2")
 
-    def center(self, draws) -> CenterPoint:
+    def center(self, draws) -> np.ndarray:
         k_max = max(draws.blocks)
         acc = np.zeros(k_max)
         total = 0
@@ -251,16 +243,16 @@ class Regression(_OnDesign):
             block = draws.blocks[k]
             acc[:k] += block.sum(axis=0)
             total += block.shape[0]
-        return CenterPoint(acc / total)
+        return acc / total
 
-    def center_embedding(self, center: CenterPoint) -> np.ndarray:
-        return self.design.phi(center.values.size) @ center.values
+    def center_embedding(self, center: np.ndarray) -> np.ndarray:
+        return self.design.phi(center.size) @ center
 
-    def draw_distances(self, draws, center: CenterPoint) -> np.ndarray:
-        k_max = max(max(draws.blocks), center.values.size)
+    def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
+        k_max = max(max(draws.blocks), center.size)
         gram = self.design.gram(k_max)
         cbar = np.zeros(k_max)
-        cbar[: center.values.size] = center.values
+        cbar[: center.size] = center
         parts = []
         for k in sorted(draws.blocks):
             block = draws.blocks[k]
@@ -340,7 +332,7 @@ class Histogram(_Density):
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         return k * block[:, self.node_cells(k)]
 
-    def center(self, draws) -> CenterPoint:
+    def center(self, draws) -> np.ndarray:
         """The mean density on the nodes: each block is summed over its draws first, per bin."""
         acc = 0.0
         total = 0
@@ -348,24 +340,15 @@ class Histogram(_Density):
             block = draws.blocks[k]
             acc = acc + (k * block.sum(axis=0))[self.node_cells(k)]
             total += block.shape[0]
-        center = CenterPoint(acc / total)
-        if len(draws.blocks) != 1:
-            return center
-        (k,) = draws.blocks
-        return replace(center, hist_k=k, hist_theta=draws.blocks[k].mean(axis=0))
+        return acc / total
 
-    def draw_distances(self, draws, center: CenterPoint) -> np.ndarray:
-        if center.hist_k is not None and set(draws.blocks) == {center.hist_k}:
-            # exact Hellinger distance between histograms on the same bins
-            block = draws.blocks[center.hist_k]
-            diff = np.sqrt(block) - np.sqrt(center.hist_theta)[None, :]
-            return np.sqrt(np.clip(np.sum(diff**2, axis=1), 0.0, None))
+    def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
         # The quadrature Hellinger distance, scored per bin j of each draw: over
         # the nodes i of bin j, sum w_i (a_j - r_i)^2 = W_j (a_j - m_j)^2 +
         # sum w_i (r_i - m_j)^2, with a_j = sqrt(k theta_j), r_i = sqrt(center_i),
         # W_j the bin's weight and m_j its weighted mean of r.
         w = self.rule.weights
-        r = np.sqrt(np.clip(center.values, 0.0, None))
+        r = np.sqrt(np.clip(center, 0.0, None))
         parts = []
         for k in sorted(draws.blocks):
             cells = self.node_cells(k)
@@ -410,11 +393,6 @@ class LogLinear(_Density):
         mean = phi.T @ w
         cov = (phi * w[:, None]).T @ phi - np.outer(mean, mean)
         return c, mean, cov
-
-    def density_values(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        g = self.phi_grid[:, : theta.size] @ theta
-        return np.exp(g - self._log_norm_values(g))
 
     def _truth_on_nodes(self, truth: TruthSpec):
         """(density on the quadrature nodes, its log-normalizer c0), from one series evaluation."""
@@ -470,10 +448,6 @@ class LogLinear(_Density):
         x0 = np.zeros(k)
         x0[: min(k, truth.coefficients.size)] = truth.coefficients[:k]
         return _maximize(self._derivs(m0, 1), x0)
-
-    def bias_sq(self, truth: TruthSpec, k: int) -> float:
-        theta = self.project(truth, k)
-        return self.metric().distance(self.truth_embedding(truth), self.density_values(theta)) ** 2
 
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         g = block @ self.phi_grid[:, :k].T
@@ -534,14 +508,6 @@ class Classification(_RowEmbedded, _OnDesign):
         """
         expected = Dataset(self.tag, self.truth_embedding(truth), self.design, self.n)
         return _maximize(self.loglik_derivs(expected, k), np.zeros(k), self.n)
-
-    def q_values(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return expit(self.design.phi(theta.size) @ theta)
-
-    def bias_sq(self, truth: TruthSpec, k: int) -> float:
-        theta = self.project(truth, k)
-        return self.metric().distance(self.truth_embedding(truth), self.q_values(theta)) ** 2
 
     def metric(self) -> SemiMetric:
         return SemiMetric("empirical_hellinger")

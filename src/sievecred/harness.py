@@ -83,36 +83,40 @@ class ExperimentConfig:
         self.L_grid = tuple(float(L) for L in self.L_grid)
         self.tradeoff_M = tuple(self.tradeoff_M)
         self.truth_coefficients = tuple(float(c) for c in self.truth_coefficients)
-        if self.generator == "explicit" and not self.truth_coefficients:
-            raise ValueError("explicit truths need truth_coefficients")
-        checks = (
-            (self.generator in GENERATOR_TAGS, f"unknown generator {self.generator!r}"),
-            (self.beta > 0.5, "beta must exceed 1/2"),
-            (self.truth_length >= 1, "truth_length must be >= 1"),
-            (self.family in FAMILY_TAGS, f"unknown family {self.family!r}"),
-            (self.basis in BASIS_TAGS, f"unknown basis {self.basis!r}"),
-            (self.mode in ("hierarchical", "empirical", "both"), f"unknown mode {self.mode!r}"),
-            (self.replicates >= 1, "replicates must be >= 1"),
-            (self.draws >= 1, "draws must be >= 1"),
-            (self.threads >= 1, "threads must be >= 1"),
-            (len(self.n_grid) > 0, "n_grid must not be empty"),
-            (all(n >= 2 for n in self.n_grid), "every n must be >= 2"),
-            (list(self.n_grid) == sorted(self.n_grid), "n_grid must be ascending"),
-            (len(self.L_grid) > 0, "L_grid must not be empty"),
-            (all(L >= 0 for L in self.L_grid), "every L must be >= 0"),
-            (0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)"),
-            (self.mcmc_burn_in >= 0, "mcmc_burn_in must be >= 0"),
-            (self.mcmc_thin >= 1, "mcmc_thin must be >= 1"),
-            (all(M >= 1 for M in self.tradeoff_M), "every tradeoff_M must be >= 1"),
-        )
-        for ok, message in checks:
-            if not ok:
-                raise ValueError(f"invalid config: {message}")
-        # the prior must build, and the family, prior and marginal_method must have a route
+        not_ints = [name for name in ("replicates", "draws", "threads", "truth_length", "seed",
+                                      "mcmc_burn_in", "mcmc_thin", "tail_r0", "tail_k0")
+                    if not isinstance(getattr(self, name), (int, np.integer))]
         try:
+            checks = (
+                (not not_ints, f"not an integer: {', '.join(not_ints)}"),
+                (self.generator in GENERATOR_TAGS, f"unknown generator {self.generator!r}"),
+                (self.generator != "explicit" or bool(self.truth_coefficients),
+                 "explicit truths need truth_coefficients"),
+                (self.beta > 0.5, "beta must exceed 1/2"),
+                (self.truth_length >= 1, "truth_length must be >= 1"),
+                (self.family in FAMILY_TAGS, f"unknown family {self.family!r}"),
+                (self.basis in BASIS_TAGS, f"unknown basis {self.basis!r}"),
+                (self.mode in ("hierarchical", "empirical", "both"), f"unknown mode {self.mode!r}"),
+                (self.replicates >= 1, "replicates must be >= 1"),
+                (self.draws >= 1, "draws must be >= 1"),
+                (self.threads >= 1, "threads must be >= 1"),
+                (len(self.n_grid) > 0, "n_grid must not be empty"),
+                (all(n >= 2 for n in self.n_grid), "every n must be >= 2"),
+                (list(self.n_grid) == sorted(self.n_grid), "n_grid must be ascending"),
+                (len(self.L_grid) > 0, "L_grid must not be empty"),
+                (all(L >= 0 for L in self.L_grid), "every L must be >= 0"),
+                (0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)"),
+                (self.mcmc_burn_in >= 0, "mcmc_burn_in must be >= 0"),
+                (self.mcmc_thin >= 1, "mcmc_thin must be >= 1"),
+                (all(M >= 1 for M in self.tradeoff_M), "every tradeoff_M must be >= 1"),
+            )
+            for ok, message in checks:
+                if not ok:
+                    raise ValueError(message)
+            # the prior must build, and the family, prior and marginal_method must have a route
             prior = prior_from_config(self.prior, self.family, self.n_grid[0])
             route(self.family, prior.conditional, self.marginal_method)
-        except ValueError as err:
+        except (ValueError, TypeError) as err:
             raise ValueError(f"invalid config: {err}") from None
 
     @property

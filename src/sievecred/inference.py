@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .families import SMOOTH_FAMILY_TAGS, CenterPoint, Dataset
+from .families import SMOOTH_FAMILY_TAGS, Dataset
 from .mcmc import McmcSettings, adaptive_rwm
 from .optimize import damped_newton
 from .priors import ConditionalPrior, SievePrior, log_prior_rows, sample_prior
@@ -26,9 +26,6 @@ from .priors import ConditionalPrior, SievePrior, log_prior_rows, sample_prior
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 MARGINAL_METHODS = ("auto", "conjugate", "dirichlet", "laplace", "importance")
-# the name each route records in MarginalLikelihoodTable.method
-_ROUTE_NAMES = {"conjugate": "conjugate_exact", "dirichlet": "dirichlet_exact",
-                "laplace": "laplace_approx", "importance": "importance_sampling"}
 
 _ABS_SMOOTHING = 1e-8  # softened |x| used only inside Newton for laplace priors
 _ESS_FLOOR = 64.0  # importance sampling retries, then fails, below this effective sample size
@@ -42,8 +39,10 @@ def _seed_list(seed) -> list[int]:
 
 @dataclass
 class MarginalLikelihoodTable:
+    """log m_n(k) for k = 1..k_cap, all computed on one `route`."""
+
     log_m: dict[int, float]
-    method: dict[int, str]
+    route: str
     ess: dict[int, Optional[float]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -61,28 +60,22 @@ class MarginalLikelihoodTable:
             writer.writerow(["k", "log_m", "method", "ess"])
             for k in self.ks:
                 ess = self.ess.get(k)
-                writer.writerow([k, repr(self.log_m[k]), self.method[k], "" if ess is None else repr(ess)])
+                writer.writerow([k, repr(self.log_m[k]), self.route, "" if ess is None else repr(ess)])
 
 
 @dataclass
 class PosteriorDraws:
-    ks: np.ndarray
+    """Draws grouped by model: `blocks[k]` holds the (count_k, k) draws that fell on k."""
+
     blocks: dict[int, np.ndarray]
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.ks = np.asarray(self.ks, dtype=int)
-        sizes = sum(b.shape[0] for b in self.blocks.values())
-        if sizes != self.ks.size:
-            raise ValueError("block sizes do not match the k sequence")
-
     @property
     def count(self) -> int:
-        return int(self.ks.size)
+        return sum(block.shape[0] for block in self.blocks.values())
 
     def k_counts(self) -> dict[int, int]:
-        ks, counts = np.unique(self.ks, return_counts=True)
-        return {int(k): int(c) for k, c in zip(ks, counts)}
+        return {k: self.blocks[k].shape[0] for k in sorted(self.blocks)}
 
 
 @dataclass
@@ -287,30 +280,29 @@ def marginal_likelihood(
     seed=0,
     is_particles: int = 2048,
 ):
-    """log m_n(k) with the route taken and diagnostics.
+    """log m_n(k), the name of the route taken (as `route` gives it) and diagnostics.
 
     The e^{-l_n(theta_0)} normalization used in proofs is omitted: it cancels in
     the argmax and in the posterior over k.
     """
     chosen = route(family.tag, prior, method)
-    name = _ROUTE_NAMES[chosen]
     if data.n == 0:
-        return 0.0, name, {}
+        return 0.0, chosen, {}
     if chosen == "conjugate":
         _, _, log_m = _regression_conjugate(family, prior, data, k)
-        return log_m, name, {}
+        return log_m, chosen, {}
     if chosen == "dirichlet":
-        return _dirichlet_log_m(family, prior, data, k), name, {}
+        return _dirichlet_log_m(family, prior, data, k), chosen, {}
     if chosen == "laplace":
         _, _, log_m, info = _laplace_fit(family, prior, data, k)
-        return log_m, name, {"newton": info}
+        return log_m, chosen, {"newton": info}
     rng = np.random.default_rng(_seed_list(seed))
     if prior.kind == "dirichlet":
         log_m, ess, se = _importance_dirichlet(family, prior, data, k, is_particles, rng)
     else:
         mode, chol, _, _ = _laplace_fit(family, prior, data, k)
         log_m, ess, se = _importance_product(family, prior, data, k, mode, chol, is_particles, rng)
-    return log_m, name, {"ess": ess, "se_log_m": se}
+    return log_m, chosen, {"ess": ess, "se_log_m": se}
 
 
 def marginal_table(
@@ -321,10 +313,10 @@ def marginal_table(
     seed=0,
     is_particles: int = 2048,
 ) -> MarginalLikelihoodTable:
-    log_m, methods, ess = {}, {}, {}
+    log_m, ess = {}, {}
     base = _seed_list(seed)
     for k in range(1, prior.hyper.k_cap + 1):
-        value, used, diag = marginal_likelihood(
+        value, _, diag = marginal_likelihood(
             family,
             prior.conditional,
             data,
@@ -334,9 +326,8 @@ def marginal_table(
             is_particles=is_particles,
         )
         log_m[k] = value
-        methods[k] = used
         ess[k] = diag.get("ess")
-    return MarginalLikelihoodTable(log_m=log_m, method=methods, ess=ess)
+    return MarginalLikelihoodTable(log_m, route(family.tag, prior.conditional, method), ess)
 
 
 def mmle(table: MarginalLikelihoodTable) -> int:
@@ -361,7 +352,6 @@ def sample_given_k(
 ) -> PosteriorDraws:
     """Exact draws on the exact routes, preconditioned RWM on the laplace route."""
     rng = np.random.default_rng(_seed_list(seed))
-    ks = np.full(count, k, dtype=int)
     sampler = route(family.tag, prior)
     if data.n == 0:
         block = sample_prior(prior, k, count, rng)
@@ -388,7 +378,7 @@ def sample_given_k(
 
         block, diag = adaptive_rwm(log_target, mode, cov_chol, settings, rng)
         diag["sampler"] = "rwm"
-    return PosteriorDraws(ks, {k: block}, diagnostics=diag)
+    return PosteriorDraws({k: block}, diagnostics=diag)
 
 
 def sample_hierarchical(
@@ -398,12 +388,11 @@ def sample_hierarchical(
     count: int,
     seed,
     mcmc: Optional[McmcSettings] = None,
-    table: Optional[MarginalLikelihoodTable] = None,
+    *,
+    table: MarginalLikelihoodTable,
 ) -> PosteriorDraws:
-    """Composition sampling: k from the k-posterior, then theta given k."""
+    """Composition sampling: k from the k-posterior of `table`, then theta given k."""
     base = _seed_list(seed)
-    if table is None:
-        table = marginal_table(family, prior, data, seed=base + [0])
     kpost = k_posterior(table, prior.hyper)
     support = np.array(sorted(kpost.log_mass))
     probs = np.array([np.exp(kpost.log_mass[k]) for k in support])
@@ -427,11 +416,11 @@ def sample_hierarchical(
         blocks[int(k)] = block
         samplers[int(k)] = child.diagnostics
     diagnostics = {"k_posterior": kpost.mass(), "samplers": samplers}
-    return PosteriorDraws(ks, blocks, diagnostics=diagnostics)
+    return PosteriorDraws(blocks, diagnostics=diagnostics)
 
 
-def posterior_center(draws: PosteriorDraws, family) -> CenterPoint:
-    """Posterior mean in the family's natural embedding."""
+def posterior_center(draws: PosteriorDraws, family) -> np.ndarray:
+    """Posterior mean: coefficients (regression), else the embedding on the nodes or design."""
     if draws.count == 0:
         raise ValueError("no draws")
     return family.center(draws)

@@ -117,8 +117,8 @@ class HyperPrior:
 
 
 def hyper_prior(kind: str, param: float, k_cap: int) -> HyperPrior:
-    if k_cap < 1:
-        raise ValueError("k_cap must be >= 1")
+    if not isinstance(k_cap, (int, np.integer)) or k_cap < 1:
+        raise ValueError(f"k_cap must be an integer >= 1, got {k_cap!r}")
     ks = np.arange(1, k_cap + 1, dtype=float)
     if kind == "geometric":
         if not 0.0 < param < 1.0:

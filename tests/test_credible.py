@@ -15,13 +15,12 @@ from sievecred import (
     sample_given_k,
     wilson_interval,
 )
-from sievecred.families import CenterPoint
 from sievecred.inference import PosteriorDraws
 
 
 def _coef_draws(values):
     values = np.asarray(values, dtype=float).reshape(-1, 1)
-    return PosteriorDraws(np.ones(values.shape[0], dtype=int), {1: values})
+    return PosteriorDraws({1: values})
 
 
 @pytest.fixture(scope="module")
@@ -31,21 +30,21 @@ def reg16():
 
 def test_radius_zero_for_degenerate_posterior(reg16):
     draws = _coef_draws(np.full(50, 0.7))
-    center = CenterPoint(np.array([0.7]))
+    center = np.array([0.7])
     assert credible_radius(draws, center, reg16, 0.05) == 0.0
 
 
 def test_radius_order_statistic_convention(reg16):
     # distances 0.01..1.00, alpha=0.05: rank ceil(0.95*100) = 95 -> 0.95
     draws = _coef_draws(0.01 * np.arange(1, 101))
-    center = CenterPoint(np.array([0.0]))
+    center = np.array([0.0])
     assert credible_radius(draws, center, reg16, 0.05) == pytest.approx(0.95, abs=1e-12)
     assert credible_radius(draws, center, reg16, 0.5) == pytest.approx(0.50, abs=1e-12)
 
 
 def test_radius_non_increasing_in_alpha(reg16, rng):
     draws = _coef_draws(rng.standard_normal(400))
-    center = CenterPoint(np.array([0.0]))
+    center = np.array([0.0])
     alphas = [0.01, 0.05, 0.1, 0.25, 0.5, 0.9]
     radii = [credible_radius(draws, center, reg16, a) for a in alphas]
     assert all(r1 >= r2 for r1, r2 in zip(radii, radii[1:]))
@@ -53,7 +52,7 @@ def test_radius_non_increasing_in_alpha(reg16, rng):
 
 def test_radius_converges_to_true_quantile(reg16, rng):
     draws = _coef_draws(rng.random(200_000))
-    center = CenterPoint(np.array([0.0]))
+    center = np.array([0.0])
     assert credible_radius(draws, center, reg16, 0.05) == pytest.approx(0.95, abs=0.01)
 
 
@@ -74,7 +73,7 @@ def test_radius_against_exact_gaussian_posterior_oracle():
     rng = np.random.default_rng(44)
     big = mean + rng.standard_normal((1_000_000, k)) @ chol_cov.T
     gram = fam.design.gram(k)
-    diff = big - center.values[:k]
+    diff = big - center[:k]
     dist = np.sqrt(np.einsum("si,ij,sj->s", diff, gram, diff))
     oracle = np.quantile(dist, 0.95)
 

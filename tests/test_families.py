@@ -289,7 +289,7 @@ def test_classification_projection_moment_system(classif500):
     k = 3
     theta = classif500.project(truth, k)
     q0 = classif500.truth_embedding(truth)
-    q = classif500.q_values(theta)
+    q = classif500.embedding_rows(theta[None, :], k)[0]
     residual = classif500.design.phi(k).T @ (q0 - q)
     assert np.max(np.abs(residual)) < 1e-6 * 500
 
@@ -324,10 +324,8 @@ def test_bias_equals_metric_distance_to_projection(reg500, loglin_family, classi
         theta = fam.project(truth, k)
         if fam.tag == "regression":
             emb = fam.design.phi(k) @ theta
-        elif fam.tag == "loglinear":
-            emb = fam.density_values(theta)
         else:
-            emb = fam.q_values(theta)
+            emb = fam.embedding_rows(theta[None, :], k)[0]
         d2 = fam.metric().distance(fam.truth_embedding(truth), emb) ** 2
         assert fam.bias_sq(truth, k) == pytest.approx(d2, rel=1e-9, abs=tol)
     # histogram: per-cell exact integral vs the shared-grid quadrature

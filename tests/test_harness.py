@@ -76,6 +76,13 @@ def test_config_validation():
         {"family": "histogram", "marginal_method": "laplace"},
         {"prior": {"hyper": {"kind": "geometric", "p": 1.5}}},
         {"prior": {"conditional": {"kind": "gaussian", "scale": -1.0}}},
+        # values of the wrong type, and an explicit truth with no coefficients
+        {"prior": {"k_cap": 2.5}},
+        {"alpha": "x"},
+        {"prior": {"conditional": {"kind": "gaussian", "scale": "abc"}}},
+        {"replicates": 2.5},
+        {"draws": 1.5},
+        {"generator": "explicit"},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
