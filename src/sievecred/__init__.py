@@ -5,10 +5,8 @@ from .bias import (
     BiasProfile,
     PolishedTailParams,
     bias_profile,
-    check_bias_sandwich,
     check_polished_tail,
     l2_bias_profile,
-    project,
     tradeoff_set,
 )
 from .credible import credible_radius, wilson_interval
@@ -35,7 +33,7 @@ from .inference import (
     sample_hierarchical,
 )
 from .mcmc import AdaptationError, McmcSettings, adaptive_rwm
-from .metrics import SemiMetric, hellinger_hist_vs_density, hellinger_histograms
+from .metrics import SemiMetric
 from .priors import (
     ConditionalPrior,
     HyperPrior,
@@ -43,7 +41,6 @@ from .priors import (
     default_k_cap,
     dirichlet_prior,
     gaussian_prior,
-    hyper_log_mass,
     hyper_prior,
     laplace_prior,
     log_prior_density,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,15 +67,8 @@ class BiasProfile:
         return text
 
 
-def project(truth, family, k: int) -> np.ndarray:
-    """theta_o, the projection of the truth onto the k-dimensional model."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return family.project(truth, k)
-
-
 def bias_profile(truth, family, k_max: int, n: int) -> BiasProfile:
-    """b(k) = d^2(theta_0, project(truth, k)) for k = 1..k_max in the family metric."""
+    """b(k) = d^2(theta_0, family.project(truth, k)) for k = 1..k_max in the family metric."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     values = {k: family.bias_sq(truth, k) for k in range(1, k_max + 1)}
@@ -156,14 +149,3 @@ def polished_tail_verdict(truth, family, profile: BiasProfile, params: PolishedT
         return {"holds": report.holds, "first_violation": report.first_violation}
     except ValueError as err:
         return {"holds": None, "error": str(err)}
-
-
-def check_bias_sandwich(profile: BiasProfile, A0: float, k0: int) -> bool:
-    """True iff every k < k0 dominates some b(k') with k' in [k0, A0 k0]."""
-    if A0 <= 1:
-        raise ValueError("A0 must exceed 1")
-    hi = int(np.floor(A0 * k0))
-    if hi > profile.k_max:
-        raise ValueError(f"profile covers k <= {profile.k_max}, need k <= {hi}")
-    window_min = min(profile.values[k] for k in range(k0, hi + 1))
-    return all(profile.values[k] >= window_min for k in range(1, k0))

@@ -146,18 +146,13 @@ class _RowEmbedded(_Family):
 class _Density(_RowEmbedded):
     """A density on [0, 1]: embedded on a quadrature grid, simulated by inverse CDF."""
 
-    def __init__(
-        self,
-        rule: QuadratureRule = DEFAULT_RULE,
-        basis_tag: str = "trigonometric",
-        cdf_cells: int = 4096,
-        max_k: int = 128,
-    ):
+    rule: QuadratureRule = DEFAULT_RULE
+    cdf_cells = 4096
+    max_k = 128
+
+    def __init__(self, basis_tag: str = "trigonometric"):
         super().__init__()
-        self.rule = rule
         self.basis_tag = basis_tag
-        self.cdf_cells = cdf_cells
-        self.max_k = max_k
 
     def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
         cells = self.cdf_cells

@@ -79,14 +79,16 @@ class ExperimentConfig:
     tail_tau: float = 0.5
 
     def __post_init__(self):
-        self.n_grid = tuple(int(n) for n in self.n_grid)
-        self.L_grid = tuple(float(L) for L in self.L_grid)
-        self.tradeoff_M = tuple(self.tradeoff_M)
-        self.truth_coefficients = tuple(float(c) for c in self.truth_coefficients)
         not_ints = [name for name in ("replicates", "draws", "threads", "truth_length", "seed",
                                       "mcmc_burn_in", "mcmc_thin", "tail_r0", "tail_k0")
                     if not isinstance(getattr(self, name), (int, np.integer))]
         try:
+            if not all(isinstance(n, (int, np.integer)) for n in self.n_grid):
+                not_ints.append("n_grid")
+            self.n_grid = tuple(int(n) for n in self.n_grid)
+            self.L_grid = tuple(float(L) for L in self.L_grid)
+            self.tradeoff_M = tuple(self.tradeoff_M)
+            self.truth_coefficients = tuple(float(c) for c in self.truth_coefficients)
             checks = (
                 (not not_ints, f"not an integer: {', '.join(not_ints)}"),
                 (self.generator in GENERATOR_TAGS, f"unknown generator {self.generator!r}"),
@@ -161,6 +163,9 @@ class _Context:
             coefficients=cfg.truth_coefficients or None,
         )
         self.prior = prior_from_config(cfg.prior, cfg.family, n)
+        if self.prior.hyper.k_cap > self.family.max_k:
+            raise ValueError(f"invalid config: k_cap {self.prior.hyper.k_cap} exceeds the largest "
+                             f"dimension {self.family.max_k} of {cfg.family} at n={n}")
         self.mcmc = McmcSettings(burn_in=cfg.mcmc_burn_in, thin=cfg.mcmc_thin)
         self._tradeoff: dict[float, set] = {}
 
@@ -344,9 +349,6 @@ class CoverageReport:
     def _payload(self) -> dict:
         return {"op": self.op, "config": self.config, "cells": self.cells,
                 "errors": self.errors, **self.extras}
-
-    def to_json(self) -> str:
-        return json.dumps(self._payload(), sort_keys=True)
 
     def write(self, out_dir) -> dict:
         return _write_report(out_dir, self.op, self._payload(), self.rows, COVERAGE_COLUMNS)

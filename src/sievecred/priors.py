@@ -36,10 +36,6 @@ class ConditionalPrior:
         elif self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    @property
-    def tail_q(self) -> float:
-        return 2.0 if self.kind == "gaussian" else 1.0
-
     def logpdf(self, x) -> np.ndarray:
         """log g(x) for the base density g of a gaussian or laplace prior."""
         x = np.asarray(x, dtype=float)
@@ -111,10 +107,6 @@ class HyperPrior:
             raise ValueError(f"k={k} outside the hyperprior support 1..{self.k_cap}")
         return float(self._log_pmf[k - 1])
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(1, self.k_cap + 1)
-
 
 def hyper_prior(kind: str, param: float, k_cap: int) -> HyperPrior:
     if not isinstance(k_cap, (int, np.integer)) or k_cap < 1:
@@ -131,10 +123,6 @@ def hyper_prior(kind: str, param: float, k_cap: int) -> HyperPrior:
     else:
         raise ValueError(f"unknown hyperprior kind {kind!r}")
     return HyperPrior(kind=kind, param=param, k_cap=k_cap, _log_pmf=raw - logsumexp(raw))
-
-
-def hyper_log_mass(hp: HyperPrior, k: int) -> float:
-    return hp.log_mass(k)
 
 
 def default_k_cap(n: int, exponent: float = 0.4) -> int:
@@ -203,47 +191,3 @@ def prior_from_config(config: dict, family_tag: str, n: int) -> SievePrior:
     conditional = ConditionalPrior(**{**(config.get("conditional") or {}),
                                       "kind": _section_kind(config, "conditional", family_tag)})
     return SievePrior(hyper=hyper_prior(kind, param, k_cap), conditional=conditional)
-
-
-def g_envelope_constants(prior: ConditionalPrior) -> dict:
-    """Constants G1..G4 with G1 e^{-G2 |x|^q} <= g(x) <= G3 e^{-G4 |x|^q}.
-
-    For centered densities the bounds are exact; a nonzero location is absorbed
-    into the constants via |x - mu|^q <=> |x|^q comparisons.
-    """
-    mu, s, q = prior.location, prior.scale, prior.tail_q
-    if prior.kind == "gaussian":
-        peak = 1.0 / math.sqrt(2.0 * math.pi * s**2)
-        if mu == 0.0:
-            return {"G1": peak, "G2": 1.0 / (2 * s**2), "G3": peak, "G4": 1.0 / (2 * s**2), "q": q}
-        # (x-mu)^2 <= 2x^2 + 2mu^2 and (x-mu)^2 >= x^2/2 - mu^2
-        return {
-            "G1": peak * math.exp(-(mu**2) / s**2),
-            "G2": 1.0 / s**2,
-            "G3": peak * math.exp(mu**2 / (2 * s**2)),
-            "G4": 1.0 / (4 * s**2),
-            "q": q,
-        }
-    peak = 1.0 / (2.0 * s)
-    shift = math.exp(abs(mu) / s)
-    return {"G1": peak / shift, "G2": 1.0 / s, "G3": peak * shift, "G4": 1.0 / s, "q": q}
-
-
-def check_g_envelope(prior: ConditionalPrior, xs=None) -> bool:
-    if xs is None:
-        xs = np.linspace(-20.0, 20.0, 4001)
-    consts = g_envelope_constants(prior)
-    log_g = prior.logpdf(xs)
-    lower = np.log(consts["G1"]) - consts["G2"] * np.abs(xs) ** consts["q"]
-    upper = np.log(consts["G3"]) - consts["G4"] * np.abs(xs) ** consts["q"]
-    return bool(np.all(lower <= log_g + 1e-12) and np.all(log_g <= upper + 1e-12))
-
-
-def hyper_envelope_report(hp: HyperPrior) -> dict:
-    """Fitted constants for e^{-c2 k log k} <~ pi_k(k) <~ e^{-c1 k} over the support."""
-    ks = hp.support.astype(float)
-    log_pmf = hp._log_pmf
-    c1 = float(np.min(-log_pmf / ks))
-    big = ks >= 2
-    c2 = float(np.max(-log_pmf[big] / (ks[big] * np.log(ks[big])))) if big.any() else 0.0
-    return {"c1": c1, "c2": c2, "valid": bool(c1 > 0 and np.isfinite(c2))}

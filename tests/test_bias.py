@@ -5,11 +5,9 @@ from sievecred import (
     BiasProfile,
     PolishedTailParams,
     bias_profile,
-    check_bias_sandwich,
     check_polished_tail,
     generate_truth,
     l2_bias_profile,
-    project,
     tradeoff_set,
 )
 
@@ -33,9 +31,7 @@ def test_finite_support_truth_has_zero_tail_bias(reg500):
 
 def test_project_free_function(reg500):
     truth = generate_truth("explicit", beta=1.0, coefficients=[1.0, 0.5, 0.2])
-    assert np.allclose(project(truth, reg500, 2), [1.0, 0.5], atol=1e-10)
-    with pytest.raises(ValueError):
-        project(truth, reg500, 0)
+    assert np.allclose(reg500.project(truth, 2), [1.0, 0.5], atol=1e-10)
 
 
 def test_kn_direct_scan_oracle_power_law():
@@ -215,37 +211,3 @@ def test_polished_tail_self_similar_hand_ratio_cross_check():
     tight = check_polished_tail(profile, PolishedTailParams(r0=2, k0=2, tau=worst - 0.01))
     assert not tight.holds
     assert tight.first_violation == max(hand, key=hand.get)
-
-
-# ---------------------------------------------------------------------------
-# bias sandwich
-
-
-def test_sandwich_monotone_profiles_pass(rng):
-    raw = np.sort(rng.uniform(0, 1, 30))[::-1]
-    profile = BiasProfile(values={k + 1: raw[k] for k in range(30)}, n=100, k_max=30)
-    for A0 in (1.5, 2.0, 4.0):
-        assert check_bias_sandwich(profile, A0, k0=5)
-
-
-def test_sandwich_k0_one_is_vacuous():
-    profile = l2_bias_profile([1.0, 2.0, 3.0], n=100, k_max=6)
-    assert check_bias_sandwich(profile, 2.0, k0=1)
-
-
-def test_sandwich_enumeration_oracle(hist_family):
-    truth = generate_truth("self_similar", beta=1.0, seed=29, family_tag="histogram")
-    profile = bias_profile(truth, hist_family, k_max=16, n=500)
-    for k0, A0 in ((2, 2.0), (4, 2.0), (3, 3.0)):
-        hi = int(np.floor(A0 * k0))
-        oracle = all(
-            any(profile.values[k] >= profile.values[kp] for kp in range(k0, hi + 1))
-            for k in range(1, k0)
-        )
-        assert check_bias_sandwich(profile, A0, k0) == oracle
-
-
-def test_sandwich_range_error():
-    profile = l2_bias_profile([1.0, 0.5], n=100, k_max=4)
-    with pytest.raises(ValueError):
-        check_bias_sandwich(profile, 3.0, k0=2)

@@ -310,9 +310,10 @@ def test_bias_is_squared_projection_distance(hist_family):
     truth = generate_truth("self_similar", beta=1.0, seed=17, family_tag="histogram")
     k = 5
     theta = hist_family.project(truth, k)
-    from sievecred import hellinger_hist_vs_density
+    from sievecred.metrics import hellinger_hist_vs_cells, hist_cell_integrals
 
-    direct = hellinger_hist_vs_density(theta, hist_family.density_fn(truth)) ** 2
+    cells = hist_cell_integrals(hist_family.density_fn(truth), k)
+    direct = hellinger_hist_vs_cells(theta, *cells) ** 2
     assert hist_family.bias_sq(truth, k) == pytest.approx(direct, rel=1e-12)
 
 

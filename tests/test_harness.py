@@ -83,10 +83,29 @@ def test_config_validation():
         {"replicates": 2.5},
         {"draws": 1.5},
         {"generator": "explicit"},
+        {"n_grid": (200.7,)},
+        {"L_grid": ("x",)},
+        {"generator": "explicit", "truth_coefficients": ("x",)},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("family,n,prior", [
+    ("regression", 40000, {}),
+    ("regression", 3, {}),
+    ("classification", 2000, {"k_cap": 65}),
+    ("loglinear", 2000, {"k_cap": 129}),
+])
+def test_k_cap_beyond_the_family_fails_before_any_replicate(monkeypatch, family, n, prior):
+    ran, run_replicate = [], harness._run_replicate
+    monkeypatch.setattr(harness, "_run_replicate",
+                        lambda ctx, rep_id: ran.append(rep_id) or run_replicate(ctx, rep_id))
+    cfg = ExperimentConfig(family=family, n_grid=(n,), replicates=2, draws=10, prior=prior)
+    with pytest.raises(ValueError, match="invalid config: k_cap"):
+        run_coverage(cfg)
+    assert ran == []
 
 
 def test_config_json_roundtrip(tmp_path):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from sievecred import DEFAULT_RULE, SemiMetric, hellinger_hist_vs_density, hellinger_histograms
-from sievecred.metrics import refine_histogram
+from sievecred import DEFAULT_RULE, SemiMetric
+from sievecred.metrics import hellinger_hist_vs_cells, hist_cell_integrals
 
 
 def _metric_instances(rng):
     dens = lambda: rng.random(512) + 0.05
     return [
-        (SemiMetric("l2"), lambda: rng.standard_normal(7)),
         (SemiMetric("empirical_l2"), lambda: rng.standard_normal(40)),
         (SemiMetric("hellinger", weights=DEFAULT_RULE.weights), dens),
         (SemiMetric("empirical_hellinger"), lambda: rng.uniform(0.01, 0.99, 40)),
@@ -27,38 +26,13 @@ def test_metric_axioms_on_sampled_triples():
             assert lhs <= rhs + 1e-10
 
 
-def test_l2_pads_shorter_vector():
-    m = SemiMetric("l2")
-    assert m.distance([3.0], [3.0, 4.0]) == pytest.approx(4.0)
-
-
-def test_refine_histogram_preserves_mass_and_density():
-    theta = np.array([0.2, 0.3, 0.5])
-    fine = refine_histogram(theta, 4)
-    assert fine.size == 12
-    assert fine.sum() == pytest.approx(1.0)
-    # density is unchanged: k*theta_j == 12*fine
-    assert np.allclose(12 * fine, np.repeat(3 * theta, 4))
-
-
-def test_hellinger_histograms_same_k_closed_form():
-    t1 = np.array([0.5, 0.5])
-    t2 = np.array([0.1, 0.9])
-    expected = np.sqrt((np.sqrt(0.5) - np.sqrt(0.1)) ** 2 + (np.sqrt(0.5) - np.sqrt(0.9)) ** 2)
-    assert hellinger_histograms(t1, t2) == pytest.approx(expected, abs=1e-15)
-
-
-def test_hellinger_histograms_rejects_incommensurate():
-    with pytest.raises(ValueError):
-        hellinger_histograms(np.ones(3) / 3, np.ones(4) / 4)
-
-
 @pytest.mark.parametrize("k,factor", [(2, 2), (4, 4), (8, 2), (16, 4)])
 def test_hellinger_closed_form_matches_quadrature(k, factor, rng):
     # bins divide the 128 quadrature cells, so the grid integral is exact
     t1 = rng.dirichlet(np.ones(k))
     t2 = rng.dirichlet(np.ones(k * factor))
-    closed = hellinger_histograms(t1, t2)
+    # on the common k*factor bins, h^2 = sum_j (sqrt u_j - sqrt v_j)^2 in cell probabilities
+    closed = np.sqrt(np.sum((np.sqrt(np.repeat(t1, factor) / factor) - np.sqrt(t2)) ** 2))
     nodes = DEFAULT_RULE.nodes
     d1 = k * t1[np.minimum((nodes * k).astype(int), k - 1)]
     kk = k * factor
@@ -74,13 +48,14 @@ def test_hellinger_hist_vs_density_exact_when_density_is_histogram():
     def density(x):
         return np.where(np.asarray(x) < 0.5, 2 * other[0], 2 * other[1])
 
-    assert hellinger_hist_vs_density(theta, density) == pytest.approx(
-        hellinger_histograms(theta, other), abs=1e-12
-    )
+    closed = np.sqrt(np.sum((np.sqrt(theta) - np.sqrt(other)) ** 2))
+    hell = hellinger_hist_vs_cells(theta, *hist_cell_integrals(density, theta.size))
+    assert hell == pytest.approx(closed, abs=1e-12)
 
 
 def test_hellinger_identical_densities_zero():
     def density(x):
         return np.ones_like(np.asarray(x, dtype=float))
 
-    assert hellinger_hist_vs_density(np.full(4, 0.25), density) == pytest.approx(0.0, abs=1e-12)
+    hell = hellinger_hist_vs_cells(np.full(4, 0.25), *hist_cell_integrals(density, 4))
+    assert hell == pytest.approx(0.0, abs=1e-12)

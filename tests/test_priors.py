@@ -6,14 +6,12 @@ from sievecred import (
     default_k_cap,
     dirichlet_prior,
     gaussian_prior,
-    hyper_log_mass,
     hyper_prior,
     laplace_prior,
     log_prior_density,
     prior_from_config,
     sample_prior,
 )
-from sievecred.priors import check_g_envelope, hyper_envelope_report
 
 
 def test_standard_normal_at_zero():
@@ -78,7 +76,7 @@ def test_prior_mass_integrates_to_one():
 
 def test_geometric_mass_ratio():
     hp = hyper_prior("geometric", 0.5, k_cap=30)
-    assert hyper_log_mass(hp, 1) - hyper_log_mass(hp, 2) == pytest.approx(np.log(2.0))
+    assert hp.log_mass(1) - hp.log_mass(2) == pytest.approx(np.log(2.0))
 
 
 def test_poisson_truncated_normalization():
@@ -104,31 +102,6 @@ def test_geometric_slope_fit_oracle():
     logs = np.array([hp.log_mass(int(k)) for k in ks])
     slope = np.polyfit(ks, logs, 1)[0]
     assert slope == pytest.approx(np.log(1 - p), abs=1e-10)
-
-
-@pytest.mark.parametrize(
-    "g",
-    [
-        gaussian_prior(0.0, 1.0),
-        gaussian_prior(0.5, 2.0),
-        laplace_prior(0.0, 1.0),
-        laplace_prior(-0.3, 0.7),
-    ],
-)
-def test_tail_envelope_holds_pointwise(g):
-    assert check_g_envelope(g)
-
-
-def test_gaussian_envelope_q_two_laplace_q_one():
-    assert gaussian_prior().tail_q == 2.0
-    assert laplace_prior().tail_q == 1.0
-
-
-def test_hyper_envelope_report():
-    for kind, param in (("geometric", 0.5), ("poisson", 3.0)):
-        report = hyper_envelope_report(hyper_prior(kind, param, k_cap=25))
-        assert report["valid"]
-        assert report["c1"] > 0
 
 
 def test_default_k_cap():
