@@ -149,13 +149,17 @@ class DesignGrid:
         return eval_series_grid(c, self.n, 0.5, tag=self.basis_tag)
 
 
+def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> int:
+    """The k_design of `midpoint_design(n, basis_tag, k_design)`, found without building it."""
+    cap = n // 2 if basis_tag == "trigonometric" else max(n - 1, 1)
+    return min(k_design if k_design is not None else 64, max(cap, 1))
+
+
 def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> DesignGrid:
     """Equispaced midpoint design x_i = (i - 1/2)/n with eigenvalue certification."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cap = n // 2 if basis_tag == "trigonometric" else max(n - 1, 1)
-    cap = max(cap, 1)
-    k_design = min(k_design if k_design is not None else 64, cap)
+    k_design = design_dimension(n, basis_tag, k_design)
     points = midpoints(n)
     phi = basis_matrix(points, k_design, basis_tag)
     eigs = np.linalg.eigvalsh(phi.T @ phi / n)

@@ -11,20 +11,31 @@ distances are shared. Density families (histogram, log-linear) share a fixed
 quadrature grid; design families (regression, classification) are bound to a
 midpoint design of size n. What depends only on the truth (its embedding, CDF
 table, normalizer, histogram cell integrals) is computed once per truth and
-kept in the family's memo.
+kept in the family's memo; what depends only on one dataset (the log-linear
+sufficient statistics, and the Laplace fits of `inference`) is computed once
+per dataset and kept in the dataset's memo; and each block's embedding rows
+are computed once per set of draws and kept in the draws' memo, so a center
+and its draw distances share them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .basis import DesignGrid, basis_matrix, eval_series, eval_series_grid, midpoint_design
+from .basis import (
+    DesignGrid,
+    basis_matrix,
+    design_dimension,
+    eval_series,
+    eval_series_grid,
+    midpoint_design,
+)
 from .metrics import SemiMetric, hellinger_hist_vs_cells, hist_cell_integrals
 from .optimize import damped_newton
 from .quadrature import DEFAULT_RULE, QuadratureRule
@@ -34,15 +45,29 @@ FAMILY_TAGS = ("regression", "histogram", "loglinear", "classification")
 SMOOTH_FAMILY_TAGS = ("regression", "loglinear", "classification")  # those with `loglik_derivs`
 
 _LOG2PI = float(np.log(2.0 * np.pi))
+DESIGN_K_MAX = 64  # the largest dimension a design family is built for, if n allows it
+
+
+class Memo:
+    """A `_memo` dict with `once`: what its owner computes once and keeps."""
+
+    def once(self, key, compute):
+        """`compute()`, run once per key and kept by the owner."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(Memo):
+    """A sample; its memo keeps the Laplace fits and log-linear statistics made from it."""
+
     family_tag: str
     y: np.ndarray
     design: Optional[DesignGrid]
     n: int
     seed: Optional[int] = None
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
@@ -63,6 +88,11 @@ def _simplex_check(theta: np.ndarray):
         raise ValueError("histogram parameter does not sum to one")
 
 
+def _softplus(f: np.ndarray) -> np.ndarray:
+    """log(1 + e^f) elementwise, as np.logaddexp(0, f) but by vector kernels; cannot overflow."""
+    return np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
+
+
 def _maximize(derivs, x0, n: int = 1) -> np.ndarray:
     """argmax of an expected log-likelihood, by damped Newton on its negative / n."""
 
@@ -74,21 +104,15 @@ def _maximize(derivs, x0, n: int = 1) -> np.ndarray:
     return theta
 
 
-class _Family:
+class _Family(Memo):
     design: Optional[DesignGrid] = None
 
     def __init__(self):
         self._memo: dict = {}
 
-    def _once(self, key, compute):
-        """`compute()`, run once per key and kept on the family."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
     def _per_truth(self, truth: TruthSpec, name, compute):
-        """`_once` for a quantity of one truth, keyed by its coefficients."""
-        return self._once((truth.coefficients.tobytes(), name), compute)
+        """`once` for a quantity of one truth, keyed by its coefficients."""
+        return self.once((truth.coefficients.tobytes(), name), compute)
 
     def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
         if truth.family_tag != self.tag:
@@ -119,13 +143,16 @@ class _OnDesign(_Family):
 class _RowEmbedded(_Family):
     """Center, draw distances and bias from `embedding_rows`; a center is its own embedding."""
 
+    def _draw_rows(self, draws, k: int) -> np.ndarray:
+        """The embedding rows of block k, once per set of draws."""
+        return draws.once((self.tag, k), lambda: self.embedding_rows(draws.blocks[k], k))
+
     def center(self, draws) -> np.ndarray:
         total = 0
         acc = 0.0
         for k in sorted(draws.blocks):
-            block = draws.blocks[k]
-            acc = acc + self.embedding_rows(block, k).sum(axis=0)
-            total += block.shape[0]
+            acc = acc + self._draw_rows(draws, k).sum(axis=0)
+            total += draws.blocks[k].shape[0]
         return acc / total
 
     def center_embedding(self, center: np.ndarray) -> np.ndarray:
@@ -134,7 +161,7 @@ class _RowEmbedded(_Family):
     def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
         metric = self.metric()
         return np.concatenate([
-            metric.distances(self.embedding_rows(draws.blocks[k], k), center)
+            metric.distances(self._draw_rows(draws, k), center)
             for k in sorted(draws.blocks)
         ])
 
@@ -176,7 +203,7 @@ class Regression(_OnDesign):
 
     tag = "regression"
 
-    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = 64,
+    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = DESIGN_K_MAX,
                  design: Optional[DesignGrid] = None):
         super().__init__()
         self.design = design if design is not None else midpoint_design(
@@ -320,7 +347,7 @@ class Histogram(_Density):
         return hellinger_hist_vs_cells(theta, *self._cell_integrals(truth, k)) ** 2
 
     def node_cells(self, k: int) -> np.ndarray:
-        return self._once(
+        return self.once(
             ("node_cells", k), lambda: np.minimum((self.rule.nodes * k).astype(int), k - 1)
         )
 
@@ -406,18 +433,28 @@ class LogLinear(_Density):
         return np.exp(series - self._truth_on_nodes(truth)[1])
 
     def suff_stats(self, data: Dataset, k: int) -> np.ndarray:
+        """sum_i phi_j(y_i) for j <= k, sliced from column sums kept on the dataset.
+
+        The sums are made at power-of-two widths, so a few serve every k. The
+        bits are those of basis_matrix(y, k).sum(axis=0): numpy sums two or
+        more columns row by row, which gives each column the same sum at any
+        width, and a lone column pairwise, which only width 1 (k = 1) does.
+        """
         if data.n == 0:
             return np.zeros(k)
-        return basis_matrix(data.y, k, self.basis_tag).sum(axis=0)
+        width = 1 << (k - 1).bit_length()
+        sums = data.once(("suff_stats", self.basis_tag, width),
+                         lambda: basis_matrix(data.y, width, self.basis_tag).sum(axis=0))
+        return sums[:k].copy()
 
     def loglik(self, data: Dataset, k: int):
         t_stats = self.suff_stats(data, k)
         n = data.n
-        phi = self.phi_grid[:, :k]
+        phi_t = np.ascontiguousarray(self.phi_grid[:, :k].T)
         weights = self.rule.weights
 
         def loglik(thetas):
-            g = thetas @ phi.T
+            g = thetas @ phi_t
             m = g.max(axis=1)
             c = m + np.log(np.exp(g - m[:, None]) @ weights)
             return thetas @ t_stats - n * c
@@ -456,7 +493,7 @@ class Classification(_RowEmbedded, _OnDesign):
 
     tag = "classification"
 
-    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = 64):
+    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = DESIGN_K_MAX):
         super().__init__()
         self.design = midpoint_design(n, basis_tag=basis_tag, k_design=k_max)
         self.basis_tag = basis_tag
@@ -472,12 +509,12 @@ class Classification(_RowEmbedded, _OnDesign):
     def loglik(self, data: Dataset, k: int):
         if data.n == 0:
             return lambda thetas: np.zeros(thetas.shape[0])
-        phi = self.design.phi(k)
+        phi_t = np.ascontiguousarray(self.design.phi(k).T)
         y = data.y
 
         def loglik(thetas):
-            f = thetas @ phi.T
-            return f @ y - np.logaddexp(0.0, f).sum(axis=1)
+            f = thetas @ phi_t
+            return f @ y - _softplus(f).sum(axis=1)
 
         return loglik
 
@@ -488,7 +525,7 @@ class Classification(_RowEmbedded, _OnDesign):
         def derivs(theta):
             f = phi @ theta
             q = expit(f)
-            value = float(y @ f - np.logaddexp(0.0, f).sum())
+            value = float(y @ f - _softplus(f).sum())
             grad = phi.T @ (y - q)
             hess = -(phi * (q * (1.0 - q))[:, None]).T @ phi
             return value, grad, hess
@@ -509,6 +546,13 @@ class Classification(_RowEmbedded, _OnDesign):
 
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
         return expit(block @ self.design.phi(k).T)
+
+
+def max_dimension(tag: str, n: int, basis_tag: str = "trigonometric") -> int:
+    """The `max_k` of `make_family(tag, n, basis_tag)`, found without building a design."""
+    if tag in ("regression", "classification"):
+        return design_dimension(n, basis_tag, DESIGN_K_MAX)
+    return _Density.max_k
 
 
 def make_family(tag: str, n: int | None = None, basis_tag: str = "trigonometric", **kwargs):

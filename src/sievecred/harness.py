@@ -31,7 +31,7 @@ from .bias import (
 )
 from .basis import BASIS_TAGS
 from .credible import credible_radius, wilson_interval
-from .families import FAMILY_TAGS, Dataset, make_family
+from .families import FAMILY_TAGS, Dataset, make_family, max_dimension
 from .inference import (
     MarginalLikelihoodTable,
     McmcSettings,
@@ -145,12 +145,22 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _check_k_cap(cfg: ExperimentConfig, n: int, k_cap: int):
+    """Raise `invalid config:` when k_cap at n exceeds the family's largest dimension."""
+    largest = max_dimension(cfg.family, n, cfg.basis)
+    if k_cap > largest:
+        raise ValueError(f"invalid config: k_cap {k_cap} exceeds the largest "
+                         f"dimension {largest} of {cfg.family} at n={n}")
+
+
 class _Context:
     """Per-(config, n) state rebuilt inside each worker process."""
 
     def __init__(self, cfg: ExperimentConfig, n: int):
         self.cfg = cfg
         self.n = n
+        self.prior = prior_from_config(cfg.prior, cfg.family, n)
+        _check_k_cap(cfg, n, self.prior.hyper.k_cap)
         self.family = make_family(cfg.family, n=n, basis_tag=cfg.basis)
         self.truth = generate_truth(
             cfg.generator,
@@ -162,10 +172,6 @@ class _Context:
             basis_tag=cfg.basis,
             coefficients=cfg.truth_coefficients or None,
         )
-        self.prior = prior_from_config(cfg.prior, cfg.family, n)
-        if self.prior.hyper.k_cap > self.family.max_k:
-            raise ValueError(f"invalid config: k_cap {self.prior.hyper.k_cap} exceeds the largest "
-                             f"dimension {self.family.max_k} of {cfg.family} at n={n}")
         self.mcmc = McmcSettings(burn_in=cfg.mcmc_burn_in, thin=cfg.mcmc_thin)
         self._tradeoff: dict[float, set] = {}
 
@@ -260,8 +266,11 @@ def _worker(cfg_key: str, n: int, rep_id: int) -> dict:
 def _collect_replicates(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Run every (n, replicate) job: the results that succeeded, in order, and the errors.
 
-    Raises once more than ERROR_BUDGET of the replicates failed.
+    Raises once more than ERROR_BUDGET of the replicates failed, and before
+    any job runs when some n's k_cap exceeds the family's largest dimension.
     """
+    for n in cfg.n_grid:
+        _check_k_cap(cfg, n, prior_from_config(cfg.prior, cfg.family, n).hyper.k_cap)
     jobs = [(n, rep) for n in cfg.n_grid for rep in range(1, cfg.replicates + 1)]
     cfg_key = cfg.cache_key()
     if cfg.threads == 1:

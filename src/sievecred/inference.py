@@ -6,7 +6,10 @@ else goes through a Laplace approximation at the posterior mode, optionally
 corrected by importance sampling with the Laplace Gaussian as proposal.
 Within-model sampling is exact where conjugacy allows and otherwise uses
 adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian.
-`route` decides which of these a family and prior take.
+`route` decides which of these a family and prior take. Each Laplace fit is
+made once per dataset and prior and kept in the dataset's memo, so the
+evidence table, the importance route and every chain share its mode and
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .families import SMOOTH_FAMILY_TAGS, Dataset
+from .families import SMOOTH_FAMILY_TAGS, Dataset, Memo
 from .mcmc import McmcSettings, adaptive_rwm
 from .optimize import damped_newton
 from .priors import ConditionalPrior, SievePrior, log_prior_rows, sample_prior
@@ -64,11 +67,15 @@ class MarginalLikelihoodTable:
 
 
 @dataclass
-class PosteriorDraws:
-    """Draws grouped by model: `blocks[k]` holds the (count_k, k) draws that fell on k."""
+class PosteriorDraws(Memo):
+    """Draws grouped by model: `blocks[k]` holds the (count_k, k) draws that fell on k.
+
+    The memo keeps each block's embedding rows, for its center and distances.
+    """
 
     blocks: dict[int, np.ndarray]
     diagnostics: dict = field(default_factory=dict)
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -198,7 +205,12 @@ def _neg_log_post_parts(family, prior: ConditionalPrior, data: Dataset, k: int):
 
 
 def _laplace_fit(family, prior: ConditionalPrior, data: Dataset, k: int):
-    """Posterior mode, neg-hessian cholesky and Laplace log evidence."""
+    """Posterior mode, neg-hessian cholesky and Laplace log evidence, once per dataset."""
+    key = ("laplace", family.tag, family.basis_tag, prior, k)
+    return data.once(key, lambda: _fit_laplace(family, prior, data, k))
+
+
+def _fit_laplace(family, prior: ConditionalPrior, data: Dataset, k: int):
     parts = _neg_log_post_parts(family, prior, data, k)
     scale = 1.0 / max(data.n, 1)
 
@@ -213,6 +225,7 @@ def _laplace_fit(family, prior: ConditionalPrior, data: Dataset, k: int):
     row = mode[None, :]
     exact_value = family.loglik(data, k)(row)[0] + log_prior_rows(prior, row)[0]
     log_m = exact_value + 0.5 * k * _LOG2PI - 0.5 * log_det
+    mode.flags.writeable = chol.flags.writeable = False  # every user of the fit shares them
     return mode, chol, float(log_m), info
 
 

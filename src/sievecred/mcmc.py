@@ -34,43 +34,43 @@ def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     k = x.size
     chol = np.asarray(proposal_chol, dtype=float)
-    log_s = np.log(2.38 / np.sqrt(k))
+    log_s = float(np.log(2.38 / np.sqrt(k)))
+    scale = float(np.exp(log_s))
     lp = float(log_target(x))
     if not np.isfinite(lp):
         raise ValueError("log target not finite at the chain start")
 
-    total = settings.burn_in + settings.keep * settings.thin
+    burn_in, thin = settings.burn_in, settings.thin
+    total = burn_in + settings.keep * thin
     kept = np.empty((settings.keep, k))
     accepted_kept = 0
-    kept_steps = 0
     block = 1024
-    zs = us = None
-    filled = 0
     kept_idx = 0
-    for t in range(total):
-        if filled == 0:
-            m = min(block, total - t)
-            zs = rng.standard_normal((m, k)) @ chol.T
-            us = np.log(rng.random(m))
-            filled = m
-        i = len(us) - filled
-        filled -= 1
-        prop = x + np.exp(log_s) * zs[i]
-        lp_prop = float(log_target(prop))
-        accept = us[i] < lp_prop - lp
-        if accept:
-            x = prop
-            lp = lp_prop
-        if t < settings.burn_in:
-            gamma = 2.0 / (t + 10.0) ** 0.6
-            log_s += gamma * ((1.0 if accept else 0.0) - TARGET_ACCEPT)
-            log_s = float(np.clip(log_s, -20.0, 5.0))
-        else:
-            kept_steps += 1
-            accepted_kept += bool(accept)
-            if (t - settings.burn_in) % settings.thin == settings.thin - 1:
-                kept[kept_idx] = x
-                kept_idx += 1
+    for start in range(0, total, block):
+        m = min(block, total - start)
+        zs = rng.standard_normal((m, k)) @ chol.T
+        us = np.log(rng.random(m)).tolist()
+        for i in range(m):
+            t = start + i
+            prop = x + scale * zs[i]
+            lp_prop = float(log_target(prop))
+            accept = us[i] < lp_prop - lp
+            if accept:
+                x = prop
+                lp = lp_prop
+            if t < burn_in:
+                gamma = 2.0 / (t + 10.0) ** 0.6
+                log_s += gamma * ((1.0 if accept else 0.0) - TARGET_ACCEPT)
+                log_s = min(max(log_s, -20.0), 5.0)
+                # np.exp, not math.exp: the two differ in the last bit for some
+                # arguments, and the chain's bits follow the scale's
+                scale = float(np.exp(log_s))
+            else:
+                accepted_kept += accept
+                if (t - burn_in) % thin == thin - 1:
+                    kept[kept_idx] = x
+                    kept_idx += 1
+    kept_steps = total - burn_in
     rate = accepted_kept / max(kept_steps, 1)
     if not ACCEPT_LOW <= rate <= ACCEPT_HIGH:
         raise AdaptationError(
@@ -80,6 +80,6 @@ def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
         "acceptance_rate": float(rate),
         "chain_length": int(settings.keep),
         "burn_in": int(settings.burn_in),
-        "proposal_scale": float(np.exp(log_s)),
+        "proposal_scale": scale,
     }
     return kept, diagnostics

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,14 +37,20 @@ class ConditionalPrior:
         elif self.scale <= 0:
             raise ValueError("scale must be positive")
 
+    @cached_property
+    def _log_g_terms(self) -> tuple:
+        """(log of g's normalizer, divisor of the centred square or |.|), made once."""
+        if self.kind == "gaussian":
+            return -0.5 * np.log(2.0 * np.pi * self.scale**2), 2.0 * self.scale**2
+        return -np.log(2.0 * self.scale), self.scale
+
     def logpdf(self, x) -> np.ndarray:
         """log g(x) for the base density g of a gaussian or laplace prior."""
         x = np.asarray(x, dtype=float)
+        const, divisor = self._log_g_terms
         if self.kind == "gaussian":
-            return -0.5 * np.log(2.0 * np.pi * self.scale**2) - (x - self.location) ** 2 / (
-                2.0 * self.scale**2
-            )
-        return -np.log(2.0 * self.scale) - np.abs(x - self.location) / self.scale
+            return const - (x - self.location) ** 2 / divisor
+        return const - np.abs(x - self.location) / divisor
 
     def alphas(self, k: int) -> np.ndarray:
         if self.alpha_rule is not None:

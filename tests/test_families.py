@@ -4,7 +4,8 @@ from scipy.stats import norm
 
 from sievecred import generate_truth, make_family
 from sievecred.basis import DesignGrid, basis_matrix
-from sievecred.families import Dataset, Regression
+from sievecred.families import Dataset, Regression, _softplus, max_dimension
+from sievecred.inference import PosteriorDraws, posterior_center
 
 
 def _uniform_hist_truth():
@@ -335,3 +336,54 @@ def test_bias_equals_metric_distance_to_projection(reg500, loglin_family, classi
     emb = hist_family.embedding_rows(theta[None, :], 5)[0]
     d2 = hist_family.metric().distance(hist_family.truth_embedding(truth), emb) ** 2
     assert hist_family.bias_sq(truth, 5) == pytest.approx(d2, abs=2e-3)
+
+
+@pytest.mark.parametrize("tag,n,basis", [
+    ("regression", 500, "trigonometric"), ("regression", 3, "trigonometric"),
+    ("regression", 40, "cosine"), ("classification", 101, "trigonometric"),
+    ("classification", 7, "cosine"), ("histogram", 500, "trigonometric"),
+    ("loglinear", 500, "cosine"),
+])
+def test_max_dimension_is_the_built_family_max_k(tag, n, basis):
+    assert max_dimension(tag, n, basis) == make_family(tag, n=n, basis_tag=basis).max_k
+
+
+# ---------------------------------------------------------------------------
+# quantities kept once per dataset or per set of draws
+
+
+def test_softplus_matches_logaddexp_without_overflow():
+    f = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [0.0, 1e-300, -1e-300]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _softplus(f)
+    ref = np.logaddexp(0.0, f)
+    assert np.all(np.abs(got - ref) <= 4e-16 + 4e-16 * np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2000])
+def test_loglinear_suff_stats_are_basis_column_sums(loglin_family, n):
+    y = np.random.default_rng(n + 5).random(n)
+    ks = range(1, loglin_family.max_k + 1)
+    expected = {k: basis_matrix(y, k).sum(axis=0) for k in ks}
+    for order in (ks, reversed(ks)):
+        data = Dataset("loglinear", y, None, n)
+        for k in order:
+            assert np.array_equal(loglin_family.suff_stats(data, k), expected[k]), k
+
+
+def test_draw_rows_embedded_once_for_center_and_distances(monkeypatch, classif500, rng):
+    blocks = {2: 0.3 * rng.standard_normal((40, 2)), 5: 0.3 * rng.standard_normal((25, 5))}
+    expected_rows = {k: classif500.embedding_rows(block, k) for k, block in blocks.items()}
+    calls = []
+    embed = classif500.embedding_rows
+    monkeypatch.setattr(classif500, "embedding_rows",
+                        lambda block, k: calls.append(k) or embed(block, k))
+    draws = PosteriorDraws(dict(blocks))
+    center = posterior_center(draws, classif500)
+    distances = classif500.draw_distances(draws, center)
+    assert calls == [2, 5]
+    assert np.array_equal(center, (expected_rows[2].sum(axis=0) + expected_rows[5].sum(axis=0)) / 65)
+    metric = classif500.metric()
+    assert np.array_equal(distances, np.concatenate(
+        [metric.distances(expected_rows[k], center) for k in (2, 5)]
+    ))

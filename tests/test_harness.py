@@ -108,6 +108,20 @@ def test_k_cap_beyond_the_family_fails_before_any_replicate(monkeypatch, family,
     assert ran == []
 
 
+def test_k_cap_beyond_the_family_at_a_later_n_fails_before_any_replicate(monkeypatch):
+    ran, built = [], []
+    run_replicate, make_family = harness._run_replicate, harness.make_family
+    monkeypatch.setattr(harness, "_run_replicate",
+                        lambda ctx, rep_id: ran.append(rep_id) or run_replicate(ctx, rep_id))
+    monkeypatch.setattr(harness, "make_family",
+                        lambda *args, **kw: built.append(args) or make_family(*args, **kw))
+    cfg = ExperimentConfig(family="regression", n_grid=(2000, 40000), replicates=3, draws=10)
+    with pytest.raises(ValueError, match="invalid config: k_cap 70 exceeds the largest "
+                                         "dimension 64 of regression at n=40000"):
+        run_coverage(cfg)
+    assert ran == [] and built == []
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = _tiny_config()
     path = tmp_path / "config.json"

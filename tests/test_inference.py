@@ -432,3 +432,25 @@ def test_histogram_center_mixture_density(hist_family):
     center = posterior_center(draws, hist_family)
     # both draws are the uniform density, so the mixture is too
     assert np.allclose(center, 1.0, atol=1e-12)
+
+
+def test_laplace_chains_reuse_the_table_fits(monkeypatch, classif500):
+    import sievecred.inference as inference
+
+    truth = generate_truth("self_similar", beta=1.0, seed=3, family_tag="classification")
+    sieve = SievePrior(hyper_prior("geometric", 0.5, k_cap=4), gaussian_prior())
+    settings = McmcSettings(burn_in=150)
+    data = classif500.simulate(truth, 500, seed=8)
+    table = marginal_table(classif500, sieve, data)
+    fits = []
+    newton = inference.damped_newton
+    monkeypatch.setattr(inference, "damped_newton",
+                        lambda *args, **kw: fits.append(1) or newton(*args, **kw))
+    draws = sample_given_k(classif500, sieve.conditional, data, 3, 300, seed=5, mcmc=settings)
+    sample_hierarchical(classif500, sieve, data, 300, seed=6, mcmc=settings, table=table)
+    marginal_likelihood(classif500, sieve.conditional, data, 2, method="importance", seed=7)
+    assert fits == []
+    fresh = classif500.simulate(truth, 500, seed=8)
+    again = sample_given_k(classif500, sieve.conditional, fresh, 3, 300, seed=5, mcmc=settings)
+    assert len(fits) == 1
+    assert np.array_equal(draws.blocks[3], again.blocks[3])
