@@ -6,8 +6,8 @@ trigonometric system is also orthonormal in the empirical inner product for
 k <= n/2 (discrete Fourier orthogonality), so the design Gram matrix is the
 identity up to rounding.
 
-A long series sum_j c_j phi_j is summed term by term by `eval_series` at
-arbitrary points, and by one FFT (`eval_series_grid`) on an equispaced grid.
+Long series sum_j c_j phi_j are summed by FFT, on a grid (`eval_series_grid`)
+or a Gauss rule (`eval_series_rule`); `eval_series` is the tests' reference.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def basis_matrix(x, k: int, tag: str = "trigonometric") -> np.ndarray:
 
 
 def eval_series(x, coefficients, tag: str = "trigonometric", chunk: int = 512) -> np.ndarray:
-    """Evaluate sum_j c_j phi_j(x) for possibly long coefficient vectors.
+    """Evaluate sum_j c_j phi_j(x) term by term: the tests' reference for the FFT sums.
 
     Works in column blocks so an n x 4096 basis matrix is never materialized.
     """
@@ -88,6 +88,12 @@ def eval_series_grid(coefficients, N: int, shift: float = 0.0, count: int | None
         folded, weighted.imag, 2 * N
     )
     return np.sqrt(2.0) * np.fft.ifft(spectrum, norm="forward").real[:count]
+
+
+def eval_series_rule(coefficients, rule, tag: str = "trigonometric") -> np.ndarray:
+    """`eval_series` at a composite rule's nodes: those at in-cell offset t are one grid."""
+    n = rule.n_cells
+    return np.stack([eval_series_grid(coefficients, n, t, n, tag) for t in rule.offsets], 1).ravel()
 
 
 def midpoints(n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .bias import PolishedTailParams, bias_profile, polished_tail_verdict
+from .bias import bias_profile, polished_tail_verdict
 from .harness import (
     ExperimentConfig,
     _Context,
@@ -69,15 +69,18 @@ def cmd_simulate(args):
 
 
 def cmd_bias(args):
-    ctx = _build_problem(args)
-    k_max = args.k_max or ctx.prior.hyper.k_cap
+    ctx = _build_problem(args, tail_r0=args.r0, tail_k0=args.k0, tail_tau=args.tau)
+    k_max = ctx.prior.hyper.k_cap if args.k_max is None else args.k_max
+    if not 1 <= k_max <= ctx.family.max_k:
+        raise ValueError(f"invalid config: --k-max {k_max} must lie in 1..{ctx.family.max_k}, "
+                         f"the dimensions of {args.family} at n={args.n}")
     profile = bias_profile(ctx.truth, ctx.family, k_max, args.n)
     profile.to_csv(_out_path(args, "bias.csv"))
     with open(_out_path(args, "bias.json"), "w") as fh:
         fh.write(profile.to_json())
     summary = {"k_n": profile.k_n, "beyond_range": profile.beyond_range}
-    params = PolishedTailParams(r0=args.r0, k0=args.k0, tau=args.tau)
-    summary["polished_tail"] = polished_tail_verdict(ctx.truth, ctx.family, profile, params)
+    summary["polished_tail"] = polished_tail_verdict(ctx.truth, ctx.family, profile,
+                                                     ctx.cfg.tail_params)
     print(json.dumps(summary))
     return 0
 

@@ -8,14 +8,16 @@ points: `loglik(data, k)` scores a (s, k) array of theta rows, and
 smooth families. Histogram, log-linear and classification embed theta rows
 through one `embedding_rows(block, k)` method, over which centers and draw
 distances are shared. Density families (histogram, log-linear) share a fixed
-quadrature grid; design families (regression, classification) are bound to a
-midpoint design of size n. What depends only on the truth (its embedding, CDF
-table, normalizer, histogram cell integrals) is computed once per truth and
-kept in the family's memo; what depends only on one dataset (the log-linear
-sufficient statistics, and the Laplace fits of `inference`) is computed once
-per dataset and kept in the dataset's memo; and each block's embedding rows
-are computed once per set of draws and kept in the draws' memo, so a center
-and its draw distances share them.
+quadrature grid and embed the truth from its series on it; design families
+(regression, classification) are bound to a midpoint design of size n. Each
+truth series is summed by FFT (`eval_series_grid`, `eval_series_rule`). What
+depends only on the truth (its design embedding or node series, CDF table,
+normalizer, histogram cell integrals) is computed once per truth and kept in
+the family's memo; what depends only on one dataset (the log-linear sufficient
+statistics, and the Laplace fits of `inference`) is computed once per dataset
+and kept in the dataset's memo; and each block's embedding rows are computed
+once per set of draws and kept in the draws' memo, so a center and its draw
+distances share them.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .basis import (
     DesignGrid,
     basis_matrix,
     design_dimension,
-    eval_series,
     eval_series_grid,
+    eval_series_rule,
     midpoint_design,
 )
 from .metrics import SemiMetric, hellinger_hist_vs_cells, hist_cell_integrals
 from .optimize import damped_newton
-from .quadrature import DEFAULT_RULE, QuadratureRule
+from .quadrature import DEFAULT_RULE, QuadratureRule, gauss_legendre_rule
 from .truths import TruthSpec
 
 FAMILY_TAGS = ("regression", "histogram", "loglinear", "classification")
@@ -194,6 +196,14 @@ class _Density(_RowEmbedded):
 
         return np.interp(rng.random(n), self._per_truth(truth, "cdf_table", cdf_table), grid)
 
+    def _node_series(self, truth: TruthSpec) -> np.ndarray:
+        return self._per_truth(truth, "node_series", lambda: eval_series_rule(
+            truth.coefficients, self.rule, self.basis_tag
+        ))
+
+    def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
+        return self._density_from_series(truth, self._node_series(truth))
+
     def metric(self) -> SemiMetric:
         return SemiMetric("hellinger", weights=self.rule.weights)
 
@@ -291,21 +301,8 @@ class Histogram(_Density):
 
     tag = "histogram"
 
-    def density_fn(self, truth: TruthSpec):
-        coeffs = truth.coefficients
-
-        def p0(x):
-            return 1.0 + eval_series(np.asarray(x, dtype=float), coeffs, self.basis_tag)
-
-        return p0
-
     def _density_from_series(self, truth: TruthSpec, series: np.ndarray) -> np.ndarray:
         return np.clip(1.0 + series, 0.0, None)
-
-    def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        return self._per_truth(truth, "nodes", lambda: np.clip(
-            self.density_fn(truth)(self.rule.nodes), 0.0, None
-        ))
 
     def counts(self, data: Dataset, k: int) -> np.ndarray:
         if data.n == 0:
@@ -334,9 +331,13 @@ class Histogram(_Density):
 
     def _cell_integrals(self, truth: TruthSpec, k: int):
         """(int p0, int sqrt p0) over each of k regular bins, once per k."""
-        return self._per_truth(
-            truth, ("cells", k), lambda: hist_cell_integrals(self.density_fn(truth), k)
-        )
+
+        def compute():
+            rule = gauss_legendre_rule(k, 24)
+            series = eval_series_rule(truth.coefficients, rule, self.basis_tag)
+            return hist_cell_integrals(self._density_from_series(truth, series), rule)
+
+        return self._per_truth(truth, ("cells", k), compute)
 
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
         cells = np.clip(self._cell_integrals(truth, k)[0], 0.0, None)
@@ -416,21 +417,9 @@ class LogLinear(_Density):
         cov = (phi * w[:, None]).T @ phi - np.outer(mean, mean)
         return c, mean, cov
 
-    def _truth_on_nodes(self, truth: TruthSpec):
-        """(density on the quadrature nodes, its log-normalizer c0), from one series evaluation."""
-
-        def compute():
-            g = eval_series(self.rule.nodes, truth.coefficients, self.basis_tag)
-            c0 = self._log_norm_values(g)
-            return np.exp(g - c0), c0
-
-        return self._per_truth(truth, "nodes", compute)
-
-    def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        return self._truth_on_nodes(truth)[0]
-
     def _density_from_series(self, truth: TruthSpec, series: np.ndarray) -> np.ndarray:
-        return np.exp(series - self._truth_on_nodes(truth)[1])
+        c0 = self._per_truth(truth, "c0", lambda: self._log_norm_values(self._node_series(truth)))
+        return np.exp(series - c0)
 
     def suff_stats(self, data: Dataset, k: int) -> np.ndarray:
         """sum_i phi_j(y_i) for j <= k, sliced from column sums kept on the dataset.

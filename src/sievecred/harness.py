@@ -95,6 +95,7 @@ class ExperimentConfig:
                 (self.generator != "explicit" or bool(self.truth_coefficients),
                  "explicit truths need truth_coefficients"),
                 (self.beta > 0.5, "beta must exceed 1/2"),
+                (self.L0 > 0, "L0 must be > 0"),
                 (self.truth_length >= 1, "truth_length must be >= 1"),
                 (self.family in FAMILY_TAGS, f"unknown family {self.family!r}"),
                 (self.basis in BASIS_TAGS, f"unknown basis {self.basis!r}"),
@@ -111,15 +112,23 @@ class ExperimentConfig:
                 (self.mcmc_burn_in >= 0, "mcmc_burn_in must be >= 0"),
                 (self.mcmc_thin >= 1, "mcmc_thin must be >= 1"),
                 (all(M >= 1 for M in self.tradeoff_M), "every tradeoff_M must be >= 1"),
+                (math.isfinite(self.control_L) and self.control_L >= 0,
+                 "control_L must be finite and >= 0"),
+                (math.isfinite(self.m_n_exponent), "m_n_exponent must be finite"),
             )
             for ok, message in checks:
                 if not ok:
                     raise ValueError(message)
+            self.tail_params  # built here so that its own range checks run
             # the prior must build, and the family, prior and marginal_method must have a route
             prior = prior_from_config(self.prior, self.family, self.n_grid[0])
             route(self.family, prior.conditional, self.marginal_method)
         except (ValueError, TypeError) as err:
             raise ValueError(f"invalid config: {err}") from None
+
+    @property
+    def tail_params(self) -> PolishedTailParams:
+        return PolishedTailParams(r0=self.tail_r0, k0=self.tail_k0, tau=self.tail_tau)
 
     @property
     def modes(self) -> tuple:
@@ -202,9 +211,7 @@ class _Context:
 
     @cached_property
     def tail_verdict(self) -> dict:
-        cfg = self.cfg
-        params = PolishedTailParams(r0=cfg.tail_r0, k0=cfg.tail_k0, tau=cfg.tail_tau)
-        return polished_tail_verdict(self.truth, self.family, self.profile, params)
+        return polished_tail_verdict(self.truth, self.family, self.profile, self.cfg.tail_params)
 
 
 def _run_replicate(ctx: _Context, rep_id: int) -> dict:

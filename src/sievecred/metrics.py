@@ -1,4 +1,4 @@
-"""Semi-metrics between parameters and their embeddings.
+"""Semi-metrics between parameters and their embeddings, and histogram cell integrals.
 
 Three kinds are supported:
 
@@ -7,7 +7,8 @@ Three kinds are supported:
   empirical_hellinger  -- averaged per-point Bernoulli Hellinger over design points
 
 All are genuine metrics on their embedding spaces, so symmetry, identity and
-the triangle inequality hold up to rounding.
+the triangle inequality hold up to rounding. `hist_cell_integrals` sums a
+density's bin integrals from its values at a composite rule's nodes.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quadrature import interval_rule
 
 METRIC_KINDS = ("empirical_l2", "hellinger", "empirical_hellinger")
 
@@ -53,16 +52,11 @@ def _bernoulli_hell_sq(q1, q2):
     return (np.sqrt(q1) - np.sqrt(q2)) ** 2 + (np.sqrt(1.0 - q1) - np.sqrt(1.0 - q2)) ** 2
 
 
-def hist_cell_integrals(density_fn, k: int, order: int = 24):
-    """Per-cell integrals (int p, int sqrt p) of a density over regular k bins."""
-    cells = np.empty(k)
-    roots = np.empty(k)
-    for j in range(k):
-        x, w = interval_rule(j / k, (j + 1) / k, order)
-        vals = np.clip(density_fn(x), 0.0, None)
-        cells[j] = float(w @ vals)
-        roots[j] = float(w @ np.sqrt(vals))
-    return cells, roots
+def hist_cell_integrals(values, rule):
+    """Per-cell integrals (int p, int sqrt p) of a density p >= 0 given at a rule's nodes."""
+    w = rule.weights.reshape(rule.n_cells, -1)
+    p = np.reshape(values, w.shape)
+    return (w * p).sum(axis=1), (w * np.sqrt(p)).sum(axis=1)
 
 
 def hellinger_hist_vs_cells(theta, cells, roots) -> float:

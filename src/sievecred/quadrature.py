@@ -9,10 +9,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights integrating over [0, 1]."""
+    """Nodes and weights integrating over [0, 1]; node (i, m) is (i + offsets[m]) / n_cells."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    n_cells: int
+    offsets: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -29,14 +31,7 @@ def gauss_legendre_rule(n_cells: int = 128, order: int = 4) -> QuadratureRule:
     left = np.arange(n_cells) * h
     nodes = (left[:, None] + 0.5 * h * (base_x[None, :] + 1.0)).ravel()
     weights = np.tile(0.5 * h * base_w, n_cells)
-    return QuadratureRule(nodes=nodes, weights=weights)
-
-
-def interval_rule(a: float, b: float, order: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+    return QuadratureRule(nodes, weights, n_cells, 0.5 * (base_x + 1.0))
 
 
 # 128 cells x 4 nodes = 512 nodes, the shared grid for all density computations.

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from sievecred import generate_truth, make_family
-from sievecred.basis import DesignGrid, basis_matrix
+from sievecred import gauss_legendre_rule, generate_truth, make_family
+from sievecred.basis import DesignGrid, basis_matrix, eval_series
 from sievecred.families import Dataset, Regression, _softplus, max_dimension
 from sievecred.inference import PosteriorDraws, posterior_center
 
@@ -313,7 +313,9 @@ def test_bias_is_squared_projection_distance(hist_family):
     theta = hist_family.project(truth, k)
     from sievecred.metrics import hellinger_hist_vs_cells, hist_cell_integrals
 
-    cells = hist_cell_integrals(hist_family.density_fn(truth), k)
+    rule = gauss_legendre_rule(k, 24)
+    density = np.clip(1.0 + eval_series(rule.nodes, truth.coefficients), 0.0, None)
+    cells = hist_cell_integrals(density, rule)
     direct = hellinger_hist_vs_cells(theta, *cells) ** 2
     assert hist_family.bias_sq(truth, k) == pytest.approx(direct, rel=1e-12)
 

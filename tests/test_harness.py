@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+import sievecred.cli as cli
 import sievecred.harness as harness
 from sievecred import (
     ExperimentConfig,
@@ -86,6 +88,13 @@ def test_config_validation():
         {"n_grid": (200.7,)},
         {"L_grid": ("x",)},
         {"generator": "explicit", "truth_coefficients": ("x",)},
+        # values that used to fail only after every replicate had run
+        {"tail_tau": 1.5},
+        {"tail_r0": 1},
+        {"tail_k0": 0},
+        {"control_L": -1.0},
+        {"m_n_exponent": float("nan")},
+        {"generator": "sobolev_draw", "L0": -1.0},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
@@ -384,6 +393,32 @@ def test_cli_commands_work_on_replicate_one(tmp_path, capsys):
     assert payload["diagnostics"]["k_posterior"] == {str(k): v for k, v in kpost.items()}
     with pytest.raises(ValueError, match="invalid config: every L must be >= 0"):
         cli_main(["credible", "--n", "200", "--L", "-1", "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--tau", "1.5"], "tau must lie in"),
+    (["--r0", "1"], "r0 must be"),
+    (["--k0", "0"], "k0 must be"),
+    (["--k-max", "0"], "--k-max 0 must lie in 1..64"),
+    (["--k-max", "100"], "--k-max 100 must lie in 1..64"),
+])
+def test_cli_bias_rejects_bad_flags_before_any_profile(monkeypatch, tmp_path, flags, message):
+    profiled = []
+    monkeypatch.setattr(cli, "bias_profile", lambda *a: profiled.append(a))
+    with pytest.raises(ValueError, match="invalid config: " + re.escape(message)):
+        cli_main(["bias", "--family", "regression", "--n", "300", *flags,
+                  "--out-dir", str(tmp_path)])
+    assert profiled == []
+
+
+def test_cli_bias_tail_flags_reach_the_check(tmp_path, capsys):
+    # the same verdict as the diagnostics context of the config with these tail values
+    flags = ["--n", "2000", "--beta", "0.6", "--r0", "3", "--k0", "3", "--tau", "0.4"]
+    assert cli_main(["bias", *flags, "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    cfg = ExperimentConfig(beta=0.6, seed=0, n_grid=(2000,), tail_r0=3, tail_k0=3,
+                           tail_tau=0.4)
+    assert summary["polished_tail"] == harness._Context(cfg, 2000).tail_verdict
 
 
 def test_cli_bias_extends_profile_for_polished_tail_like_diagnostics(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sievecred import DEFAULT_RULE, SemiMetric
+from sievecred import DEFAULT_RULE, SemiMetric, gauss_legendre_rule
 from sievecred.metrics import hellinger_hist_vs_cells, hist_cell_integrals
 
 
@@ -49,7 +49,8 @@ def test_hellinger_hist_vs_density_exact_when_density_is_histogram():
         return np.where(np.asarray(x) < 0.5, 2 * other[0], 2 * other[1])
 
     closed = np.sqrt(np.sum((np.sqrt(theta) - np.sqrt(other)) ** 2))
-    hell = hellinger_hist_vs_cells(theta, *hist_cell_integrals(density, theta.size))
+    rule = gauss_legendre_rule(theta.size, 24)
+    hell = hellinger_hist_vs_cells(theta, *hist_cell_integrals(density(rule.nodes), rule))
     assert hell == pytest.approx(closed, abs=1e-12)
 
 
@@ -57,5 +58,7 @@ def test_hellinger_identical_densities_zero():
     def density(x):
         return np.ones_like(np.asarray(x, dtype=float))
 
-    hell = hellinger_hist_vs_cells(np.full(4, 0.25), *hist_cell_integrals(density, 4))
+    rule = gauss_legendre_rule(4, 24)
+    cells = hist_cell_integrals(density(rule.nodes), rule)
+    hell = hellinger_hist_vs_cells(np.full(4, 0.25), *cells)
     assert hell == pytest.approx(0.0, abs=1e-12)

@@ -7,9 +7,11 @@ from sievecred import (
     eval_series,
     eval_series_grid,
     gauss_legendre_rule,
+    generate_truth,
+    make_family,
     midpoint_design,
 )
-from sievecred.quadrature import interval_rule
+from sievecred.basis import eval_series_rule
 
 
 def test_rule_has_512_nodes_on_unit_interval():
@@ -33,10 +35,41 @@ def test_rule_integrates_smooth_functions():
     assert val == pytest.approx(ref, abs=1e-10)
 
 
-def test_interval_rule():
-    x, w = interval_rule(0.25, 0.5, order=8)
+def test_one_cell_of_a_composite_rule():
+    # cell 1 of 4 is [0.25, 0.5], its 8 nodes at the rule's in-cell offsets
+    rule = gauss_legendre_rule(4, 8)
+    x, w = rule.nodes[8:16], rule.weights[8:16]
+    assert np.allclose(x, (1 + rule.offsets) / 4, rtol=0, atol=1e-16)
     assert w.sum() == pytest.approx(0.25, abs=1e-15)
     assert (w @ x**3) == pytest.approx((0.5**4 - 0.25**4) / 4, abs=1e-15)
+
+
+@pytest.mark.parametrize("tag", ["trigonometric", "cosine"])
+@pytest.mark.parametrize("order", [4, 24])
+@pytest.mark.parametrize("n_cells", [1, 7, 21, 128])
+def test_eval_series_rule_matches_direct_sum(tag, order, n_cells):
+    # a 4096-term truth, one FFT per in-cell offset against the term-by-term sum
+    coeffs = generate_truth("self_similar", beta=1.0, seed=n_cells, basis_tag=tag).coefficients
+    rule = gauss_legendre_rule(n_cells, order)
+    got = eval_series_rule(coeffs, rule, tag)
+    assert got.shape == rule.nodes.shape
+    assert np.max(np.abs(got - eval_series(rule.nodes, coeffs, tag))) <= 1e-13
+
+
+@pytest.mark.parametrize("tag", ["trigonometric", "cosine"])
+def test_histogram_cell_integrals_match_direct_sum(tag):
+    # the reference sums the truth term by term at 24 Gauss nodes of each bin
+    family = make_family("histogram", basis_tag=tag)
+    truth = generate_truth("self_similar", beta=1.0, seed=17, family_tag="histogram",
+                           basis_tag=tag)
+    x, w = np.polynomial.legendre.leggauss(24)
+    for k in range(1, 22):
+        cells, roots = family._cell_integrals(truth, k)
+        for j in range(k):
+            nodes = (j + 0.5 * (x + 1.0)) / k
+            p = np.clip(1.0 + eval_series(nodes, truth.coefficients, tag), 0.0, None)
+            assert abs(cells[j] - (w / (2 * k)) @ p) <= 1e-14, (k, j)
+            assert abs(roots[j] - (w / (2 * k)) @ np.sqrt(p)) <= 1e-14, (k, j)
 
 
 @pytest.mark.parametrize("tag", ["trigonometric", "cosine"])
