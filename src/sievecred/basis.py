@@ -1,10 +1,12 @@
 """Orthonormal bases on [0, 1] and fixed midpoint design grids.
 
 Both basis families are orthonormal in L2[0,1] and integrate to zero, which the
-log-linear model requires. On the midpoint design x_i = (i - 1/2)/n the
-trigonometric system is also orthonormal in the empirical inner product for
-k <= n/2 (discrete Fourier orthogonality), so the design Gram matrix is the
-identity up to rounding.
+log-linear model requires. On the midpoint design x_i = (i - 1/2)/n both are
+also orthonormal in the empirical inner product (discrete Fourier and cosine
+orthogonality), as long as every frequency sum stays below the period: twice
+the highest frequency 2 ceil(k/2) < n for the trigonometric basis, k < n for
+the cosine one. Under that condition, checked when a design is built, the
+Gram matrix Phi_k' Phi_k is n I, and regression uses it in closed form.
 
 Long series sum_j c_j phi_j are summed by FFT, on a grid (`eval_series_grid`)
 or a Gauss rule (`eval_series_rule`); `eval_series` is the tests' reference.
@@ -96,25 +98,14 @@ def eval_series_rule(coefficients, rule, tag: str = "trigonometric") -> np.ndarr
     return np.stack([eval_series_grid(coefficients, n, t, n, tag) for t in rule.offsets], 1).ravel()
 
 
-def midpoints(n: int) -> np.ndarray:
-    """The midpoint design x_i = (i - 1/2)/n, i = 1..n."""
-    return (np.arange(n) + 0.5) / n
-
-
 @dataclass(frozen=True)
 class DesignGrid:
-    """Fixed design points with the basis evaluated and certified.
-
-    c0 reports the numerical constant for which the eigenvalues of Phi'Phi/n
-    lie in [1/c0, c0] for all k <= k_design.
-    """
+    """The midpoint design with the basis evaluated on it, for k <= k_design."""
 
     points: np.ndarray
     basis_tag: str
     k_design: int
-    c0: float
     _phi: np.ndarray = field(repr=False)
-    _products: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -123,55 +114,39 @@ class DesignGrid:
     def phi(self, k: int) -> np.ndarray:
         if k > self.k_design:
             raise ValueError(
-                f"k={k} exceeds the certified design range k_design={self.k_design}"
+                f"k={k} exceeds the orthonormal design range k <= {self.k_design}"
             )
         return self._phi[:, :k]
-
-    def phi_gram(self, k: int) -> np.ndarray:
-        """Phi_k' Phi_k, read-only, computed once per k (a larger k's block differs in bits)."""
-        if k not in self._products:
-            p = self.phi(k)
-            self._products[k] = p.T @ p
-            self._products[k].flags.writeable = False
-        return self._products[k]
-
-    def gram(self, k: int) -> np.ndarray:
-        return self.phi_gram(k) / self.n
 
     def series(self, coefficients) -> np.ndarray:
         """sum_j c_j phi_j at the design points.
 
         A series that fits the design is the product Phi_k c, the one
-        `center_embedding` uses. A longer one is summed by FFT, which needs
-        the midpoint points.
+        `center_embedding` uses. A longer one is summed by FFT.
         """
         c = np.asarray(coefficients, dtype=float)
         if c.size <= self.k_design:
             return self.phi(c.size) @ c
-        if not np.array_equal(self.points, midpoints(self.n)):
-            raise ValueError(
-                f"a series of {c.size} > k_design={self.k_design} terms needs the midpoint design"
-            )
         return eval_series_grid(c, self.n, 0.5, tag=self.basis_tag)
 
 
 def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> int:
-    """The k_design of `midpoint_design(n, basis_tag, k_design)`, found without building it."""
+    """The k_design of `midpoint_design(n, basis_tag, k_design)`, found without building it.
+
+    It is 0 where not even phi_1 is orthonormal on the n midpoints: the
+    trigonometric basis at n <= 2 (sqrt(2) cos 2 pi x vanishes at 1/4 and
+    3/4) and both bases at n = 1.
+    """
     cap = n // 2 if basis_tag == "trigonometric" else max(n - 1, 1)
-    return min(k_design if k_design is not None else 64, max(cap, 1))
+    k = min(k_design if k_design is not None else 64, max(cap, 1))
+    orthonormal = 2 * ((k + 1) // 2) < n if basis_tag == "trigonometric" else k < n
+    return k if orthonormal else 0
 
 
 def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> DesignGrid:
-    """Equispaced midpoint design x_i = (i - 1/2)/n with eigenvalue certification."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Equispaced midpoint design x_i = (i - 1/2)/n, on which Phi_k' Phi_k = n I for k <= k_design."""
     k_design = design_dimension(n, basis_tag, k_design)
-    points = midpoints(n)
-    phi = basis_matrix(points, k_design, basis_tag)
-    eigs = np.linalg.eigvalsh(phi.T @ phi / n)
-    if eigs.min() <= 1e-12:
-        raise ValueError(
-            f"design matrix numerically singular at k={k_design} (n={n}, {basis_tag})"
-        )
-    c0 = float(max(eigs.max(), 1.0 / eigs.min()))
-    return DesignGrid(points=points, basis_tag=basis_tag, k_design=k_design, c0=c0, _phi=phi)
+    if k_design < 1:
+        raise ValueError(f"no {basis_tag} basis function is orthonormal on n={n} midpoints")
+    points = (np.arange(n) + 0.5) / n
+    return DesignGrid(points, basis_tag, k_design, basis_matrix(points, k_design, basis_tag))

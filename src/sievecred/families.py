@@ -9,7 +9,8 @@ smooth families. Histogram, log-linear and classification embed theta rows
 through one `embedding_rows(block, k)` method, over which centers and draw
 distances are shared. Density families (histogram, log-linear) share a fixed
 quadrature grid and embed the truth from its series on it; design families
-(regression, classification) are bound to a midpoint design of size n. Each
+(regression, classification) are bound to a midpoint design of size n, on
+which Phi_k' Phi_k = n I, so regression is a Gaussian sequence model. Each
 truth series is summed by FFT (`eval_series_grid`, `eval_series_rule`). What
 depends only on the truth (its design embedding or node series, CDF table,
 normalizer, histogram cell integrals) is computed once per truth and kept in
@@ -209,17 +210,14 @@ class _Density(_RowEmbedded):
 
 
 class Regression(_OnDesign):
-    """Fixed-design Gaussian regression, unit noise."""
+    """Fixed-design Gaussian regression, unit noise, on a midpoint design: Phi_k' Phi_k = n I."""
 
     tag = "regression"
 
-    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = DESIGN_K_MAX,
-                 design: Optional[DesignGrid] = None):
+    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = DESIGN_K_MAX):
         super().__init__()
-        self.design = design if design is not None else midpoint_design(
-            n, basis_tag=basis_tag, k_design=k_max
-        )
-        self.basis_tag = self.design.basis_tag
+        self.design = midpoint_design(n, basis_tag, k_max)
+        self.basis_tag = basis_tag
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
         return self._per_truth(truth, "design", lambda: self.design.series(truth.coefficients))
@@ -228,36 +226,32 @@ class Regression(_OnDesign):
         return self.truth_embedding(truth) + rng.standard_normal(n)
 
     def _quadratic(self, data: Dataset, k: int):
-        """(Phi'Phi, Phi'y, y'y, -n/2 log 2 pi): the log-likelihood is a quadratic in these."""
+        """(Phi'y, y'y, -n/2 log 2 pi): with Phi'Phi = n I the log-likelihood is a quadratic in these."""
         phi_y = self.design.phi(k).T @ data.y
-        return self.design.phi_gram(k), phi_y, float(data.y @ data.y), -0.5 * data.n * _LOG2PI
+        return phi_y, float(data.y @ data.y), -0.5 * data.n * _LOG2PI
 
     def loglik(self, data: Dataset, k: int):
         if data.n == 0:
             return lambda thetas: np.zeros(thetas.shape[0])
-        gram, phi_y, yy, const = self._quadratic(data, k)
+        phi_y, yy, const = self._quadratic(data, k)
 
         def loglik(thetas):
-            quad = np.einsum("si,ij,sj->s", thetas, gram, thetas)
+            quad = self.n * np.einsum("si,si->s", thetas, thetas)
             return const - 0.5 * (yy - 2.0 * thetas @ phi_y + quad)
 
         return loglik
 
     def loglik_derivs(self, data: Dataset, k: int):
-        gram, phi_y, yy, const = self._quadratic(data, k)
+        phi_y, yy, const = self._quadratic(data, k)
 
         def derivs(theta):
-            value = const - 0.5 * (yy - 2.0 * float(theta @ phi_y) + float(theta @ gram @ theta))
-            return value, phi_y - gram @ theta, -gram
+            value = const - 0.5 * (yy - 2.0 * float(theta @ phi_y) + self.n * float(theta @ theta))
+            return value, phi_y - self.n * theta, -self.n * np.eye(k)
 
         return derivs
 
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
-        f0 = self.truth_embedding(truth)
-        try:
-            return np.linalg.solve(self.design.phi_gram(k), self.design.phi(k).T @ f0)
-        except np.linalg.LinAlgError as err:
-            raise ValueError(f"singular normal equations at k={k}") from err
+        return self.design.phi(k).T @ self.truth_embedding(truth) / self.n
 
     def bias_sq(self, truth: TruthSpec, k: int) -> float:
         f0 = self.truth_embedding(truth)
@@ -281,18 +275,15 @@ class Regression(_OnDesign):
         return self.design.phi(center.size) @ center
 
     def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
+        """The Euclidean norm of each draw minus the center, both padded with zeros."""
         k_max = max(max(draws.blocks), center.size)
-        gram = self.design.gram(k_max)
         cbar = np.zeros(k_max)
         cbar[: center.size] = center
         parts = []
         for k in sorted(draws.blocks):
-            block = draws.blocks[k]
-            diff = np.zeros((block.shape[0], k_max))
-            diff[:, :k] = block
-            diff -= cbar
-            d2 = np.einsum("si,ij,sj->s", diff, gram, diff)
-            parts.append(np.sqrt(np.clip(d2, 0.0, None)))
+            diff = draws.blocks[k] - cbar[:k]
+            tail = float(cbar[k:] @ cbar[k:])
+            parts.append(np.sqrt(np.einsum("si,si->s", diff, diff) + tail))
         return np.concatenate(parts)
 
 
@@ -484,7 +475,7 @@ class Classification(_RowEmbedded, _OnDesign):
 
     def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = DESIGN_K_MAX):
         super().__init__()
-        self.design = midpoint_design(n, basis_tag=basis_tag, k_design=k_max)
+        self.design = midpoint_design(n, basis_tag, k_max)
         self.basis_tag = basis_tag
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:

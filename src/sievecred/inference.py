@@ -1,13 +1,14 @@
 """Marginal likelihoods m_n(k), the MMLE, the posterior over k, and samplers.
 
 Exact routes: Gaussian linear-model evidence for regression with a gaussian
-product prior, and the Dirichlet-multinomial formula for histograms. Everything
-else goes through a Laplace approximation at the posterior mode, optionally
-corrected by importance sampling with the Laplace Gaussian as proposal.
-Within-model sampling is exact where conjugacy allows and otherwise uses
-adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian.
-`route` decides which of these a family and prior take. Each Laplace fit is
-made once per dataset and prior and kept in the dataset's memo, so the
+product prior, in closed form on the orthonormal midpoint design (a posterior
+N(b/p, I/p) given k), and the Dirichlet-multinomial formula for histograms.
+Everything else goes through a Laplace approximation at the posterior mode,
+optionally corrected by importance sampling with the Laplace Gaussian as
+proposal. Within-model sampling is exact where conjugacy allows and otherwise
+uses adaptive random-walk Metropolis preconditioned by the Laplace-mode
+Hessian. `route` decides which of these a family and prior take. Each Laplace
+fit is made once per dataset and prior and kept in the dataset's memo, so the
 evidence table, the importance route and every chain share its mode and
 Cholesky factor.
 """
@@ -137,24 +138,22 @@ def route(family_tag: str, prior: ConditionalPrior, method: str = "auto") -> str
 
 
 def _regression_conjugate(family, prior: ConditionalPrior, data: Dataset, k: int):
-    """Posterior (mean, cholesky-of-precision) and evidence for gaussian priors."""
+    """Posterior mean, posterior precision p and evidence for gaussian priors.
+
+    With Phi'Phi = n I the posterior given k is N(b/p, I/p), where
+    p = n + 1/tau^2 and b = Phi'y + m0/tau^2.
+    """
     tau2 = prior.scale**2
-    m0 = np.full(k, prior.location)
-    gram, phi_y, yy, const = family._quadratic(data, k)
-    prec = gram + np.eye(k) / tau2
-    b = phi_y + m0 / tau2
-    c = yy + float(m0 @ m0) / tau2
-    chol = np.linalg.cholesky(prec)
-    half = np.linalg.solve(chol, b)
-    mean = np.linalg.solve(chol.T, half)
-    log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+    phi_y, yy, const = family._quadratic(data, k)
+    p = family.n + 1.0 / tau2
+    b = phi_y + prior.location / tau2
     log_m = (
         const
         - k * np.log(prior.scale)
-        - 0.5 * log_det
-        + 0.5 * (float(half @ half) - c)
+        - 0.5 * k * np.log(p)
+        + 0.5 * (float(b @ b) / p - yy - k * prior.location**2 / tau2)
     )
-    return mean, chol, float(log_m)
+    return b / p, p, float(log_m)
 
 
 def _dirichlet_log_m(family, prior: ConditionalPrior, data: Dataset, k: int) -> float:
@@ -370,9 +369,8 @@ def sample_given_k(
         block = sample_prior(prior, k, count, rng)
         diag = {"sampler": "prior"}
     elif sampler == "conjugate":
-        mean, chol, _ = _regression_conjugate(family, prior, data, k)
-        z = rng.standard_normal((count, k))
-        block = mean + np.linalg.solve(chol.T, z.T).T
+        mean, p, _ = _regression_conjugate(family, prior, data, k)
+        block = mean + rng.standard_normal((count, k)) / np.sqrt(p)
         diag = {"sampler": "conjugate"}
     elif sampler == "dirichlet":
         block = rng.dirichlet(prior.alphas(k) + family.counts(data, k), size=count)

@@ -3,6 +3,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from scipy.stats import beta, chi2
 
 from sievecred import (
     ExperimentConfig,
@@ -72,7 +73,7 @@ def test_radius_against_exact_gaussian_posterior_oracle():
     chol_cov = np.linalg.cholesky(np.linalg.inv(prec))
     rng = np.random.default_rng(44)
     big = mean + rng.standard_normal((1_000_000, k)) @ chol_cov.T
-    gram = fam.design.gram(k)
+    gram = phi.T @ phi / 300
     diff = big - center[:k]
     dist = np.sqrt(np.einsum("si,ij,sj->s", diff, gram, diff))
     oracle = np.quantile(dist, 0.95)
@@ -84,6 +85,31 @@ def test_radius_against_exact_gaussian_posterior_oracle():
         for _ in range(300)
     ]
     assert abs(r - oracle) < 3 * np.std(reps, ddof=1)
+
+
+def test_empirical_conjugate_radius_within_its_chi2_interval():
+    # Given k the posterior is N(mean, I/p), so p ||theta - mean||^2 ~ chi2_k, and
+    # the rank-th smallest of N distances to the mean has chi2_k-CDF value
+    # ~ Beta(rank, N - rank + 1). The radius is taken around the Monte Carlo
+    # center instead, which moves every distance by at most ||center - mean||.
+    alpha, count = 0.05, 1500
+    rank = math.ceil((1 - alpha) * count)
+    u_lo, u_hi = beta.ppf([0.001, 0.999], rank, count - rank + 1)
+    for basis in ("trigonometric", "cosine"):
+        for n in (300, 2000):
+            fam = make_family("regression", n=n, basis_tag=basis)
+            truth = generate_truth("self_similar", beta=1.0, seed=51, basis_tag=basis)
+            p = n + 1.0  # N(0, 1) prior
+            for rep in range(5):
+                data = fam.simulate(truth, n, seed=52 + rep)
+                for k in (1, 3, 8):
+                    draws = sample_given_k(fam, gaussian_prior(), data, k, count, seed=[53, rep, k])
+                    center = posterior_center(draws, fam)
+                    r = credible_radius(draws, center, fam, alpha)
+                    delta = np.linalg.norm(center - fam.design.phi(k).T @ data.y / p)
+                    lo = np.sqrt(chi2.ppf(u_lo, k) / p) - delta
+                    hi = np.sqrt(chi2.ppf(u_hi, k) / p) + delta
+                    assert lo <= r <= hi, (basis, n, rep, k)
 
 
 def test_radius_stable_under_doubling(reg16):

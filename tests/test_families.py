@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import norm
 
 from sievecred import gauss_legendre_rule, generate_truth, make_family
-from sievecred.basis import DesignGrid, basis_matrix, eval_series
-from sievecred.families import Dataset, Regression, _softplus, max_dimension
+from sievecred.basis import basis_matrix, eval_series
+from sievecred.families import Dataset, _softplus, max_dimension
 from sievecred.inference import PosteriorDraws, posterior_center
 
 
@@ -202,17 +202,6 @@ def test_log_norm_overflow_guard(loglin_family):
 # projections
 
 
-def test_truth_embedding_needs_midpoints_beyond_k_design(truth_b1):
-    points = np.sort(np.random.default_rng(2).random(40))
-    design = DesignGrid(points=points, basis_tag="trigonometric", k_design=10, c0=1.0,
-                        _phi=basis_matrix(points, 10))
-    family = Regression(40, design=design)
-    short = generate_truth("explicit", beta=1.0, coefficients=truth_b1.coefficients[:10])
-    assert np.array_equal(family.truth_embedding(short), design.phi(10) @ short.coefficients)
-    with pytest.raises(ValueError, match="midpoint"):
-        family.truth_embedding(truth_b1)
-
-
 def test_regression_projection_recovers_truth_in_model(reg500):
     truth = generate_truth("explicit", beta=1.0, coefficients=[1.0, -0.5, 0.25])
     theta = reg500.project(truth, 3)
@@ -344,10 +333,17 @@ def test_bias_equals_metric_distance_to_projection(reg500, loglin_family, classi
     ("regression", 500, "trigonometric"), ("regression", 3, "trigonometric"),
     ("regression", 40, "cosine"), ("classification", 101, "trigonometric"),
     ("classification", 7, "cosine"), ("histogram", 500, "trigonometric"),
-    ("loglinear", 500, "cosine"),
+    ("loglinear", 500, "cosine"), ("regression", 2, "trigonometric"),
+    ("classification", 2, "trigonometric"), ("regression", 1, "cosine"),
 ])
 def test_max_dimension_is_the_built_family_max_k(tag, n, basis):
-    assert max_dimension(tag, n, basis) == make_family(tag, n=n, basis_tag=basis).max_k
+    largest = max_dimension(tag, n, basis)
+    if largest == 0:
+        # not even phi_1 is orthonormal on the design, so no design is built
+        with pytest.raises(ValueError, match="orthonormal"):
+            make_family(tag, n=n, basis_tag=basis)
+    else:
+        assert largest == make_family(tag, n=n, basis_tag=basis).max_k
 
 
 # ---------------------------------------------------------------------------

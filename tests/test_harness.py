@@ -106,6 +106,9 @@ def test_config_validation():
     ("regression", 3, {}),
     ("classification", 2000, {"k_cap": 65}),
     ("loglinear", 2000, {"k_cap": 129}),
+    # no basis function is orthonormal on 2 midpoints, so the largest dimension is 0
+    ("regression", 2, {"k_cap": 1}),
+    ("classification", 2, {"k_cap": 1}),
 ])
 def test_k_cap_beyond_the_family_fails_before_any_replicate(monkeypatch, family, n, prior):
     ran, run_replicate = [], harness._run_replicate

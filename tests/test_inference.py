@@ -20,18 +20,10 @@ from sievecred import (
     sample_hierarchical,
     sample_prior,
 )
-from sievecred.basis import DesignGrid
-from sievecred.families import FAMILY_TAGS, Dataset, Regression
+from sievecred.families import FAMILY_TAGS, Dataset
 from sievecred.inference import MARGINAL_METHODS, _regression_conjugate, route
 from sievecred.mcmc import McmcSettings
 from sievecred.priors import SievePrior
-
-
-def _unit_design():
-    return DesignGrid(
-        points=np.array([0.5]), basis_tag="trigonometric", k_design=1, c0=1.0,
-        _phi=np.array([[1.0]]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -39,16 +31,22 @@ def _unit_design():
 
 
 def test_regression_evidence_single_point_closed_form():
-    # n=1, k=1, y=0, phi_1(x_1)=1, N(0,1) prior: m = N(0; 0, 2) = 1/(2 sqrt(pi))
-    fam = Regression(1, design=_unit_design())
-    data = Dataset("regression", np.array([0.0]), fam.design, 1)
+    # n=3, k=1: phi_1 = sqrt(2) cos(2 pi x) at 1/6, 1/2, 5/6, N(0,1) prior, so
+    # y ~ N(0, I + phi phi') and m(y) is that normal density at y
+    fam = make_family("regression", n=3)
+    y = np.array([0.3, -1.2, 0.7])
+    data = Dataset("regression", y, fam.design, 3)
     log_m, method, _ = marginal_likelihood(fam, gaussian_prior(), data, 1)
     assert method == "conjugate"
-    assert np.exp(log_m) == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi)), rel=1e-12)
+    phi = fam.design.phi(1)[:, 0]
+    cov = np.eye(3) + np.outer(phi, phi)
+    dense = -0.5 * (3 * np.log(2 * np.pi) + np.linalg.slogdet(cov)[1] + y @ np.linalg.solve(cov, y))
+    assert log_m == pytest.approx(dense, rel=1e-12)
     # independent 1-D quadrature over theta
     thetas = np.linspace(-12, 12, 20001)
     integrand = (
-        np.exp(-0.5 * (0.0 - thetas) ** 2) / np.sqrt(2 * np.pi)
+        np.exp(-0.5 * ((y[:, None] - phi[:, None] * thetas) ** 2).sum(axis=0))
+        / (2 * np.pi) ** 1.5
         * np.exp(-0.5 * thetas**2) / np.sqrt(2 * np.pi)
     )
     assert np.exp(log_m) == pytest.approx(np.trapezoid(integrand, thetas), rel=1e-8)
@@ -93,27 +91,27 @@ def test_laplace_equals_conjugate_for_gaussian_regression(reg500, truth_b1):
         assert approx == pytest.approx(exact, abs=1e-8)
 
 
-@pytest.mark.parametrize("n", [200, 2000])
-def test_cached_gram_is_the_reference_product(n, truth_b1):
-    fam = make_family("regression", n=n)
-    data = fam.simulate(truth_b1, n, seed=21)
-    sieve = prior_from_config({}, "regression", n)
-    table = marginal_table(fam, sieve, data)
-    for k in range(1, sieve.hyper.k_cap + 1):
-        phi = fam.design.phi(k)
-        reference = phi.T @ phi
-        cached = fam.design.phi_gram(k)
-        # bit for bit: the leading block of a larger k's product is not
-        assert np.array_equal(cached, reference)
-        assert fam.design.phi_gram(k) is cached
-        assert not cached.flags.writeable
-        # N(0, 1) conjugate evidence from the freshly computed product
-        chol = np.linalg.cholesky(reference + np.eye(k))
-        half = np.linalg.solve(chol, phi.T @ data.y)
-        log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-        log_m = (-0.5 * n * np.log(2.0 * np.pi) - 0.5 * log_det
-                 + 0.5 * (float(half @ half) - float(data.y @ data.y)))
-        assert table.log_m[k] == log_m
+@pytest.mark.parametrize("n", [200, 2000, 32000])
+def test_conjugate_closed_form_is_the_dense_reference(n, truth_b1):
+    # the N(0, 1) conjugate posterior from a Cholesky factor of Phi'Phi + I,
+    # against the closed form that takes Phi'Phi = n I
+    for basis in ("trigonometric", "cosine"):
+        fam = make_family("regression", n=n, basis_tag=basis)
+        data = fam.simulate(truth_b1, n, seed=21)
+        sieve = prior_from_config({}, "regression", n)
+        table = marginal_table(fam, sieve, data)
+        for k in range(1, sieve.hyper.k_cap + 1):
+            phi = fam.design.phi(k)
+            chol = np.linalg.cholesky(phi.T @ phi + np.eye(k))
+            half = np.linalg.solve(chol, phi.T @ data.y)
+            log_det = 2.0 * float(np.log(np.diag(chol)).sum())
+            log_m = (-0.5 * n * np.log(2.0 * np.pi) - 0.5 * log_det
+                     + 0.5 * (float(half @ half) - float(data.y @ data.y)))
+            mean = np.linalg.solve(chol.T, half)
+            closed_mean, _, closed_log_m = _regression_conjugate(fam, gaussian_prior(), data, k)
+            assert table.log_m[k] == closed_log_m
+            assert closed_log_m == pytest.approx(log_m, rel=1e-12, abs=0.0), (basis, k)
+            assert np.max(np.abs(closed_mean - mean)) <= 1e-12 * np.max(np.abs(mean)), (basis, k)
 
 
 def test_importance_route_matches_exact_evidence(reg500, truth_b1):

@@ -125,11 +125,13 @@ def test_design_series_exact_in_range_fft_beyond():
 
 
 def test_midpoint_design_gram_is_identity():
-    # discrete Fourier orthogonality up to k = n/2
-    design = midpoint_design(64, "trigonometric", k_design=32)
-    gram = design.gram(32)
-    assert np.max(np.abs(gram - np.eye(32))) < 1e-8
-    assert design.c0 < 1 + 1e-8
+    # discrete Fourier and cosine orthogonality, which regression takes in closed form
+    for tag in ("trigonometric", "cosine"):
+        for n in (3, 4, 5, 64, 500, 2000, 32000):
+            design = midpoint_design(n, tag)
+            phi = design.phi(design.k_design)
+            gram = phi.T @ phi / n
+            assert np.max(np.abs(gram - np.eye(design.k_design))) <= 1e-13, (tag, n)
 
 
 def test_midpoint_design_certifies_and_rejects():
@@ -141,4 +143,5 @@ def test_midpoint_design_certifies_and_rejects():
 
 def test_cosine_design_well_conditioned():
     design = midpoint_design(50, "cosine", k_design=30)
-    assert design.c0 < 1 + 1e-8
+    phi = design.phi(30)
+    assert np.linalg.cond(phi.T @ phi / 50) < 1 + 1e-8
