@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BASIS_TAGS = ("trigonometric", "cosine")
+DESIGN_K_MAX = 64  # the largest dimension a midpoint design is built for, if n allows it
 
 
 def _basis_block(x: np.ndarray, start: int, stop: int, tag: str) -> np.ndarray:
@@ -130,7 +131,7 @@ class DesignGrid:
         return eval_series_grid(c, self.n, 0.5, tag=self.basis_tag)
 
 
-def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> int:
+def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int = DESIGN_K_MAX) -> int:
     """The k_design of `midpoint_design(n, basis_tag, k_design)`, found without building it.
 
     It is 0 where not even phi_1 is orthonormal on the n midpoints: the
@@ -138,12 +139,12 @@ def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int | N
     3/4) and both bases at n = 1.
     """
     cap = n // 2 if basis_tag == "trigonometric" else max(n - 1, 1)
-    k = min(k_design if k_design is not None else 64, max(cap, 1))
+    k = min(k_design, max(cap, 1))
     orthonormal = 2 * ((k + 1) // 2) < n if basis_tag == "trigonometric" else k < n
     return k if orthonormal else 0
 
 
-def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int | None = None) -> DesignGrid:
+def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int = DESIGN_K_MAX) -> DesignGrid:
     """Equispaced midpoint design x_i = (i - 1/2)/n, on which Phi_k' Phi_k = n I for k <= k_design."""
     k_design = design_dimension(n, basis_tag, k_design)
     if k_design < 1:

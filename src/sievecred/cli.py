@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posterior", help="posterior draws and sampler diagnostics")
     _add_common(p)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--count", type=int, default=2000)
-    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--count", type=int, default=ExperimentConfig.draws)
+    p.add_argument("--burn-in", type=int, default=ExperimentConfig.mcmc_burn_in)
     p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("credible", help="one replicate's credible ball: its coverage row")
@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="hierarchical", choices=["hierarchical", "empirical"])
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--L", type=float, default=2.0)
-    p.add_argument("--count", type=int, default=2000)
-    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--count", type=int, default=ExperimentConfig.draws)
+    p.add_argument("--burn-in", type=int, default=ExperimentConfig.mcmc_burn_in)
     p.set_defaults(func=cmd_credible)
 
     for name in _EXPERIMENTS:

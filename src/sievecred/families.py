@@ -48,7 +48,6 @@ FAMILY_TAGS = ("regression", "histogram", "loglinear", "classification")
 SMOOTH_FAMILY_TAGS = ("regression", "loglinear", "classification")  # those with `loglik_derivs`
 
 _LOG2PI = float(np.log(2.0 * np.pi))
-DESIGN_K_MAX = 64  # the largest dimension a design family is built for, if n allows it
 
 
 class Memo:
@@ -69,7 +68,6 @@ class Dataset(Memo):
     y: np.ndarray
     design: Optional[DesignGrid]
     n: int
-    seed: Optional[int] = None
     _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,7 +121,7 @@ class _Family(Memo):
         if self.design is not None and n != self.n:
             raise ValueError(f"family was built for n={self.n}, got {n}")
         y = self._draw(truth, n, np.random.default_rng(seed))
-        return Dataset(self.tag, y, self.design, n, seed)
+        return Dataset(self.tag, y, self.design, n)
 
     def log_likelihood(self, theta, data: Dataset) -> float:
         """log-likelihood of one parameter vector, through the batched `loglik`."""
@@ -214,9 +212,9 @@ class Regression(_OnDesign):
 
     tag = "regression"
 
-    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = DESIGN_K_MAX):
+    def __init__(self, n: int, basis_tag: str = "trigonometric"):
         super().__init__()
-        self.design = midpoint_design(n, basis_tag, k_max)
+        self.design = midpoint_design(n, basis_tag)
         self.basis_tag = basis_tag
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
@@ -231,8 +229,6 @@ class Regression(_OnDesign):
         return phi_y, float(data.y @ data.y), -0.5 * data.n * _LOG2PI
 
     def loglik(self, data: Dataset, k: int):
-        if data.n == 0:
-            return lambda thetas: np.zeros(thetas.shape[0])
         phi_y, yy, const = self._quadratic(data, k)
 
         def loglik(thetas):
@@ -296,8 +292,6 @@ class Histogram(_Density):
         return np.clip(1.0 + series, 0.0, None)
 
     def counts(self, data: Dataset, k: int) -> np.ndarray:
-        if data.n == 0:
-            return np.zeros(k, dtype=int)
         idx = np.minimum((data.y * k).astype(int), k - 1)
         return np.bincount(idx, minlength=k)
 
@@ -420,8 +414,6 @@ class LogLinear(_Density):
         more columns row by row, which gives each column the same sum at any
         width, and a lone column pairwise, which only width 1 (k = 1) does.
         """
-        if data.n == 0:
-            return np.zeros(k)
         width = 1 << (k - 1).bit_length()
         sums = data.once(("suff_stats", self.basis_tag, width),
                          lambda: basis_matrix(data.y, width, self.basis_tag).sum(axis=0))
@@ -473,9 +465,9 @@ class Classification(_RowEmbedded, _OnDesign):
 
     tag = "classification"
 
-    def __init__(self, n: int, basis_tag: str = "trigonometric", k_max: int = DESIGN_K_MAX):
+    def __init__(self, n: int, basis_tag: str = "trigonometric"):
         super().__init__()
-        self.design = midpoint_design(n, basis_tag, k_max)
+        self.design = midpoint_design(n, basis_tag)
         self.basis_tag = basis_tag
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
@@ -487,8 +479,6 @@ class Classification(_RowEmbedded, _OnDesign):
         return (rng.random(n) < self.truth_embedding(truth)).astype(float)
 
     def loglik(self, data: Dataset, k: int):
-        if data.n == 0:
-            return lambda thetas: np.zeros(thetas.shape[0])
         phi_t = np.ascontiguousarray(self.design.phi(k).T)
         y = data.y
 
@@ -531,21 +521,21 @@ class Classification(_RowEmbedded, _OnDesign):
 def max_dimension(tag: str, n: int, basis_tag: str = "trigonometric") -> int:
     """The `max_k` of `make_family(tag, n, basis_tag)`, found without building a design."""
     if tag in ("regression", "classification"):
-        return design_dimension(n, basis_tag, DESIGN_K_MAX)
+        return design_dimension(n, basis_tag)
     return _Density.max_k
 
 
-def make_family(tag: str, n: int | None = None, basis_tag: str = "trigonometric", **kwargs):
+def make_family(tag: str, n: int | None = None, basis_tag: str = "trigonometric"):
     if tag == "regression":
         if n is None:
             raise ValueError("regression requires n")
-        return Regression(n, basis_tag=basis_tag, **kwargs)
+        return Regression(n, basis_tag=basis_tag)
     if tag == "histogram":
-        return Histogram(basis_tag=basis_tag, **kwargs)
+        return Histogram(basis_tag=basis_tag)
     if tag == "loglinear":
-        return LogLinear(basis_tag=basis_tag, **kwargs)
+        return LogLinear(basis_tag=basis_tag)
     if tag == "classification":
         if n is None:
             raise ValueError("classification requires n")
-        return Classification(n, basis_tag=basis_tag, **kwargs)
+        return Classification(n, basis_tag=basis_tag)
     raise ValueError(f"unknown family {tag!r}")

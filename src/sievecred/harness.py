@@ -67,8 +67,8 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
     threads: int = 1
     draws: int = 1500
-    mcmc_burn_in: int = 800
-    mcmc_thin: int = 1
+    mcmc_burn_in: int = McmcSettings.burn_in
+    mcmc_thin: int = McmcSettings.thin
     basis: str = "trigonometric"
     marginal_method: str = "auto"
     m_n_exponent: float = -0.25
@@ -105,7 +105,8 @@ class ExperimentConfig:
                 (self.threads >= 1, "threads must be >= 1"),
                 (len(self.n_grid) > 0, "n_grid must not be empty"),
                 (all(n >= 2 for n in self.n_grid), "every n must be >= 2"),
-                (list(self.n_grid) == sorted(self.n_grid), "n_grid must be ascending"),
+                (list(self.n_grid) == sorted(set(self.n_grid)),
+                 "n_grid must be strictly ascending"),
                 (len(self.L_grid) > 0, "L_grid must not be empty"),
                 (all(L >= 0 for L in self.L_grid), "every L must be >= 0"),
                 (0.0 < self.alpha < 1.0, "alpha must lie in (0, 1)"),
@@ -120,8 +121,14 @@ class ExperimentConfig:
                 if not ok:
                     raise ValueError(message)
             self.tail_params  # built here so that its own range checks run
-            # the prior must build, and the family, prior and marginal_method must have a route
-            prior = prior_from_config(self.prior, self.family, self.n_grid[0])
+            # at every n the prior must build and its k_cap fit the family, and
+            # the family, prior and marginal_method must have a route
+            for n in self.n_grid:
+                prior = prior_from_config(self.prior, self.family, n)
+                largest = max_dimension(self.family, n, self.basis)
+                if prior.hyper.k_cap > largest:
+                    raise ValueError(f"k_cap {prior.hyper.k_cap} exceeds the largest "
+                                     f"dimension {largest} of {self.family} at n={n}")
             route(self.family, prior.conditional, self.marginal_method)
         except (ValueError, TypeError) as err:
             raise ValueError(f"invalid config: {err}") from None
@@ -154,14 +161,6 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _check_k_cap(cfg: ExperimentConfig, n: int, k_cap: int):
-    """Raise `invalid config:` when k_cap at n exceeds the family's largest dimension."""
-    largest = max_dimension(cfg.family, n, cfg.basis)
-    if k_cap > largest:
-        raise ValueError(f"invalid config: k_cap {k_cap} exceeds the largest "
-                         f"dimension {largest} of {cfg.family} at n={n}")
-
-
 class _Context:
     """Per-(config, n) state rebuilt inside each worker process."""
 
@@ -169,7 +168,6 @@ class _Context:
         self.cfg = cfg
         self.n = n
         self.prior = prior_from_config(cfg.prior, cfg.family, n)
-        _check_k_cap(cfg, n, self.prior.hyper.k_cap)
         self.family = make_family(cfg.family, n=n, basis_tag=cfg.basis)
         self.truth = generate_truth(
             cfg.generator,
@@ -273,20 +271,18 @@ def _worker(cfg_key: str, n: int, rep_id: int) -> dict:
 def _collect_replicates(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Run every (n, replicate) job: the results that succeeded, in order, and the errors.
 
-    Raises once more than ERROR_BUDGET of the replicates failed, and before
-    any job runs when some n's k_cap exceeds the family's largest dimension.
+    Raises once more than ERROR_BUDGET of the replicates failed.
     """
-    for n in cfg.n_grid:
-        _check_k_cap(cfg, n, prior_from_config(cfg.prior, cfg.family, n).hyper.k_cap)
     jobs = [(n, rep) for n in cfg.n_grid for rep in range(1, cfg.replicates + 1)]
     cfg_key = cfg.cache_key()
     if cfg.threads == 1:
         results = [_worker(cfg_key, n, rep) for n, rep in jobs]
     else:
+        # about 16 chunks of jobs per worker; map returns the results in job order
+        ns, reps = zip(*jobs)
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(_worker, cfg_key, n, rep) for n, rep in jobs]
-            results = [f.result() for f in futures]
-    results.sort(key=lambda r: (r["n"], r["replicate_id"]))
+            results = list(pool.map(_worker, [cfg_key] * len(jobs), ns, reps,
+                                    chunksize=math.ceil(len(jobs) / (16 * cfg.threads))))
     errors = [
         {"n": r["n"], "replicate_id": r["replicate_id"], "error": r["error"]}
         for r in results

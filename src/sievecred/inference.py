@@ -5,10 +5,11 @@ product prior, in closed form on the orthonormal midpoint design (a posterior
 N(b/p, I/p) given k), and the Dirichlet-multinomial formula for histograms.
 Everything else goes through a Laplace approximation at the posterior mode,
 optionally corrected by importance sampling with the Laplace Gaussian as
-proposal. Within-model sampling is exact where conjugacy allows and otherwise
-uses adaptive random-walk Metropolis preconditioned by the Laplace-mode
-Hessian. `route` decides which of these a family and prior take. Each Laplace
-fit is made once per dataset and prior and kept in the dataset's memo, so the
+proposal; regression can take either, to check it against the exact evidence.
+Within-model sampling is exact where conjugacy allows and otherwise uses
+adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian.
+`route` decides which of these a family and prior take. Each Laplace fit is
+made once per dataset and prior and kept in the dataset's memo, so the
 evidence table, the importance route and every chain share its mode and
 Cholesky factor.
 """
@@ -16,7 +17,7 @@ Cholesky factor.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -25,11 +26,11 @@ from scipy.special import gammaln, logsumexp
 from .families import SMOOTH_FAMILY_TAGS, Dataset, Memo
 from .mcmc import McmcSettings, adaptive_rwm
 from .optimize import damped_newton
-from .priors import ConditionalPrior, SievePrior, log_prior_rows, sample_prior
+from .priors import ConditionalPrior, SievePrior, log_prior_rows
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
-MARGINAL_METHODS = ("auto", "conjugate", "dirichlet", "laplace", "importance")
+MARGINAL_METHODS = ("auto", "laplace", "importance")
 
 _ABS_SMOOTHING = 1e-8  # softened |x| used only inside Newton for laplace priors
 _ESS_FLOOR = 64.0  # importance sampling retries, then fails, below this effective sample size
@@ -113,22 +114,20 @@ class KPosterior:
 def route(family_tag: str, prior: ConditionalPrior, method: str = "auto") -> str:
     """How m_n(k) and the posterior given k are computed for a family and prior.
 
-    'conjugate' (regression, gaussian prior) and 'dirichlet' (histogram,
-    dirichlet prior) are exact. 'laplace' approximates at the posterior mode of
-    a smooth family under a gaussian or laplace prior; 'importance' corrects
-    the evidence of laplace's cases and of 'dirichlet' by importance sampling.
-    'auto' is the exact route where one exists, else 'laplace'. Raises
-    ValueError when `method` names no route for the pairing.
+    'auto' takes the exact route where one exists, 'conjugate' (regression,
+    gaussian prior) or 'dirichlet' (histogram, dirichlet prior), and else
+    'laplace', which approximates at the posterior mode of a smooth family
+    under a gaussian or laplace prior. 'laplace' and 'importance', which
+    corrects laplace's evidence by importance sampling, can be asked of any
+    such pairing. Raises ValueError when `method` names no route for the pairing.
     """
     if method not in MARGINAL_METHODS:
         raise ValueError(f"unknown marginal_method {method!r}")
     exact = {("regression", "gaussian"): "conjugate",
              ("histogram", "dirichlet"): "dirichlet"}.get((family_tag, prior.kind))
-    laplace = family_tag in SMOOTH_FAMILY_TAGS and prior.kind != "dirichlet"
-    allowed = {"conjugate": exact == "conjugate", "dirichlet": exact == "dirichlet",
-               "laplace": laplace, "importance": laplace or exact == "dirichlet"}
     chosen = (exact or "laplace") if method == "auto" else method
-    if not allowed[chosen]:
+    smooth = family_tag in SMOOTH_FAMILY_TAGS and prior.kind != "dirichlet"
+    if chosen in ("laplace", "importance") and not smooth:
         raise ValueError(f"no {method} route for {family_tag} with a {prior.kind} prior")
     return chosen
 
@@ -211,7 +210,7 @@ def _laplace_fit(family, prior: ConditionalPrior, data: Dataset, k: int):
 
 def _fit_laplace(family, prior: ConditionalPrior, data: Dataset, k: int):
     parts = _neg_log_post_parts(family, prior, data, k)
-    scale = 1.0 / max(data.n, 1)
+    scale = 1.0 / data.n
 
     def scaled(theta):
         v, gr, h = parts(theta)
@@ -242,22 +241,6 @@ def _importance_product(family, prior, data, k, mode, chol, particles, rng):
             - 0.5 * (z**2).sum(axis=1)
         )
         log_w = loglik(thetas) + log_prior_rows(prior, thetas) - log_q
-        log_m, ess, se = _log_mean_weights(log_w)
-        if ess >= _ESS_FLOOR:
-            return log_m, ess, se
-    raise RuntimeError(f"importance sampling ESS {ess:.1f} below floor {_ESS_FLOOR}")
-
-
-def _importance_dirichlet(family, prior, data, k, particles, rng):
-    """IS evidence for histograms with a flattened-posterior Dirichlet proposal."""
-    alphas = prior.alphas(k)
-    counts = family.counts(data, k)
-    loglik = family.loglik(data, k)
-    for flatten in (0.5, 0.25):
-        nu = flatten * (alphas + counts) + (1.0 - flatten)
-        thetas = rng.dirichlet(nu, size=particles)
-        proposal = ConditionalPrior("dirichlet", alpha_rule=lambda kk, nu=nu: nu)
-        log_w = loglik(thetas) + log_prior_rows(prior, thetas) - log_prior_rows(proposal, thetas)
         log_m, ess, se = _log_mean_weights(log_w)
         if ess >= _ESS_FLOOR:
             return log_m, ess, se
@@ -298,8 +281,6 @@ def marginal_likelihood(
     the argmax and in the posterior over k.
     """
     chosen = route(family.tag, prior, method)
-    if data.n == 0:
-        return 0.0, chosen, {}
     if chosen == "conjugate":
         _, _, log_m = _regression_conjugate(family, prior, data, k)
         return log_m, chosen, {}
@@ -309,11 +290,8 @@ def marginal_likelihood(
         _, _, log_m, info = _laplace_fit(family, prior, data, k)
         return log_m, chosen, {"newton": info}
     rng = np.random.default_rng(_seed_list(seed))
-    if prior.kind == "dirichlet":
-        log_m, ess, se = _importance_dirichlet(family, prior, data, k, is_particles, rng)
-    else:
-        mode, chol, _, _ = _laplace_fit(family, prior, data, k)
-        log_m, ess, se = _importance_product(family, prior, data, k, mode, chol, is_particles, rng)
+    mode, chol, _, _ = _laplace_fit(family, prior, data, k)
+    log_m, ess, se = _importance_product(family, prior, data, k, mode, chol, is_particles, rng)
     return log_m, chosen, {"ess": ess, "se_log_m": se}
 
 
@@ -365,10 +343,7 @@ def sample_given_k(
     """Exact draws on the exact routes, preconditioned RWM on the laplace route."""
     rng = np.random.default_rng(_seed_list(seed))
     sampler = route(family.tag, prior)
-    if data.n == 0:
-        block = sample_prior(prior, k, count, rng)
-        diag = {"sampler": "prior"}
-    elif sampler == "conjugate":
+    if sampler == "conjugate":
         mean, p, _ = _regression_conjugate(family, prior, data, k)
         block = mean + rng.standard_normal((count, k)) / np.sqrt(p)
         diag = {"sampler": "conjugate"}
@@ -376,8 +351,6 @@ def sample_given_k(
         block = rng.dirichlet(prior.alphas(k) + family.counts(data, k), size=count)
         diag = {"sampler": "dirichlet"}
     else:
-        settings = mcmc or McmcSettings()
-        settings = replace(settings, keep=count)
         mode, chol, _, _ = _laplace_fit(family, prior, data, k)
         # proposal covariance = inverse curvature at the mode
         cov_chol = np.linalg.inv(chol).T
@@ -387,7 +360,7 @@ def sample_given_k(
             row = theta[None, :]
             return (loglik(row) + log_prior_rows(prior, row))[0]
 
-        block, diag = adaptive_rwm(log_target, mode, cov_chol, settings, rng)
+        block, diag = adaptive_rwm(log_target, mode, cov_chol, count, mcmc or McmcSettings(), rng)
         diag["sampler"] = "rwm"
     return PosteriorDraws({k: block}, diagnostics=diag)
 
@@ -410,7 +383,7 @@ def sample_hierarchical(
     probs /= probs.sum()
     rng = np.random.default_rng(base + [104729])
     ks = rng.choice(support, size=count, p=probs)
-    exact = data.n == 0 or route(family.tag, prior.conditional) != "laplace"
+    exact = route(family.tag, prior.conditional) != "laplace"
     min_chain = 1 if exact else 256  # short MCMC chains mix and diagnose poorly
     blocks: dict[int, np.ndarray] = {}
     samplers = {}

@@ -16,12 +16,11 @@ class AdaptationError(RuntimeError):
 
 @dataclass(frozen=True)
 class McmcSettings:
-    burn_in: int = 5000
-    keep: int = 20000
+    burn_in: int = 800
     thin: int = 1
 
 
-def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
+def adaptive_rwm(log_target, x0, proposal_chol, keep: int, settings: McmcSettings, rng):
     """Random-walk Metropolis, proposals x + s * C z with z standard normal.
 
     The global scale s follows a Robbins-Monro recursion toward the target
@@ -41,8 +40,8 @@ def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
         raise ValueError("log target not finite at the chain start")
 
     burn_in, thin = settings.burn_in, settings.thin
-    total = burn_in + settings.keep * thin
-    kept = np.empty((settings.keep, k))
+    total = burn_in + keep * thin
+    kept = np.empty((keep, k))
     accepted_kept = 0
     block = 1024
     kept_idx = 0
@@ -78,7 +77,7 @@ def adaptive_rwm(log_target, x0, proposal_chol, settings: McmcSettings, rng):
         )
     diagnostics = {
         "acceptance_rate": float(rate),
-        "chain_length": int(settings.keep),
+        "chain_length": int(keep),
         "burn_in": int(settings.burn_in),
         "proposal_scale": scale,
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -26,13 +25,12 @@ class ConditionalPrior:
     location: float = 0.0
     scale: float = 1.0
     alpha: float = 1.0
-    alpha_rule: Optional[Callable[[int], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "laplace", "dirichlet"):
             raise ValueError(f"unknown conditional prior kind {self.kind!r}")
         if self.kind == "dirichlet":
-            if self.alpha_rule is None and self.alpha <= 0:
+            if self.alpha <= 0:
                 raise ValueError("dirichlet prior requires positive alpha")
         elif self.scale <= 0:
             raise ValueError("scale must be positive")
@@ -53,8 +51,6 @@ class ConditionalPrior:
         return const - np.abs(x - self.location) / divisor
 
     def alphas(self, k: int) -> np.ndarray:
-        if self.alpha_rule is not None:
-            return np.asarray(self.alpha_rule(k), dtype=float)
         return np.full(k, self.alpha)
 
 
@@ -66,8 +62,8 @@ def laplace_prior(location: float = 0.0, scale: float = 1.0) -> ConditionalPrior
     return ConditionalPrior("laplace", location, scale)
 
 
-def dirichlet_prior(alpha: float = 1.0, alpha_rule=None) -> ConditionalPrior:
-    return ConditionalPrior("dirichlet", alpha=alpha, alpha_rule=alpha_rule)
+def dirichlet_prior(alpha: float = 1.0) -> ConditionalPrior:
+    return ConditionalPrior("dirichlet", alpha=alpha)
 
 
 def log_prior_density(prior: ConditionalPrior, theta) -> float:

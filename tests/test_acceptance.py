@@ -48,7 +48,7 @@ def _report(num, name, ok, detail):
 
 def test_criterion_01_conjugate_evidence_vs_quadrature():
     start = time.monotonic()
-    fam = make_family("regression", n=5, k_max=2)
+    fam = make_family("regression", n=5)
     truth = generate_truth("self_similar", beta=1.0, seed=6)
     data = fam.simulate(truth, 5, seed=8)
     nodes, weights = np.polynomial.legendre.leggauss(240)
@@ -116,7 +116,7 @@ def test_criterion_03_mcmc_and_laplace_validation():
         return loglik(theta[None, :])[0] + log_prior_density(prior, theta)
 
     chain, diag = adaptive_rwm(
-        log_target, mode, np.linalg.inv(chol).T, McmcSettings(burn_in=5000, keep=20000),
+        log_target, mode, np.linalg.inv(chol).T, 20000, McmcSettings(burn_in=5000),
         np.random.default_rng(13),
     )
     batches = chain.reshape(20, -1, k)
@@ -128,7 +128,7 @@ def test_criterion_03_mcmc_and_laplace_validation():
 
     lap_worst = 0.0
     for kk in range(1, 7):
-        exact, _, _ = marginal_likelihood(fam, prior, data, kk, method="conjugate")
+        exact, _, _ = marginal_likelihood(fam, prior, data, kk)
         approx, _, _ = marginal_likelihood(fam, prior, data, kk, method="laplace")
         lap_worst = max(lap_worst, abs(approx - exact))
     elapsed = time.monotonic() - start

@@ -96,7 +96,7 @@ def test_loglinear_zero_theta(loglin_family):
 
 
 def test_regression_loglik_matches_normal_density():
-    fam = make_family("regression", n=5, k_max=2)
+    fam = make_family("regression", n=5)
     truth = generate_truth("explicit", beta=1.0, coefficients=[0.4, -0.1])
     data = fam.simulate(truth, 5, seed=21)
     theta = np.array([0.7])
@@ -134,13 +134,6 @@ def test_classification_loglik_additive_over_points(classif500):
     direct = float(np.sum(data.y * np.log(1 / (1 + np.exp(-f)))
                           + (1 - data.y) * np.log(1 - 1 / (1 + np.exp(-f)))))
     assert classif500.log_likelihood(theta, data) == pytest.approx(direct, abs=1e-8)
-
-
-def test_empty_dataset_loglik_zero(reg500, hist_family):
-    empty_r = Dataset("regression", np.array([]), None, 0)
-    empty_h = Dataset("histogram", np.array([]), None, 0)
-    assert reg500.log_likelihood(np.array([1.0]), empty_r) == 0.0
-    assert hist_family.log_likelihood(np.array([0.5, 0.5]), empty_h) == 0.0
 
 
 def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):

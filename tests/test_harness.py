@@ -53,6 +53,7 @@ def test_config_validation():
         {"L_grid": ()},
         {"n_grid": ()},
         {"n_grid": (1, 200)},
+        {"n_grid": (200, 200)},
         {"mcmc_burn_in": -5},
         {"mcmc_thin": 0},
         {"tradeoff_M": (0.5,)},
@@ -76,6 +77,10 @@ def test_config_validation():
         {"family": "classification", "marginal_method": "conjugate"},
         {"marginal_method": "dirichlet"},
         {"family": "histogram", "marginal_method": "laplace"},
+        # the exact routes are reached through "auto" only, and histograms have no importance route
+        {"marginal_method": "conjugate"},
+        {"family": "histogram", "marginal_method": "dirichlet"},
+        {"family": "histogram", "marginal_method": "importance"},
         {"prior": {"hyper": {"kind": "geometric", "p": 1.5}}},
         {"prior": {"conditional": {"kind": "gaussian", "scale": -1.0}}},
         # values of the wrong type, and an explicit truth with no coefficients
@@ -114,9 +119,9 @@ def test_k_cap_beyond_the_family_fails_before_any_replicate(monkeypatch, family,
     ran, run_replicate = [], harness._run_replicate
     monkeypatch.setattr(harness, "_run_replicate",
                         lambda ctx, rep_id: ran.append(rep_id) or run_replicate(ctx, rep_id))
-    cfg = ExperimentConfig(family=family, n_grid=(n,), replicates=2, draws=10, prior=prior)
     with pytest.raises(ValueError, match="invalid config: k_cap"):
-        run_coverage(cfg)
+        run_coverage(ExperimentConfig(family=family, n_grid=(n,), replicates=2, draws=10,
+                                      prior=prior))
     assert ran == []
 
 
@@ -127,10 +132,10 @@ def test_k_cap_beyond_the_family_at_a_later_n_fails_before_any_replicate(monkeyp
                         lambda ctx, rep_id: ran.append(rep_id) or run_replicate(ctx, rep_id))
     monkeypatch.setattr(harness, "make_family",
                         lambda *args, **kw: built.append(args) or make_family(*args, **kw))
-    cfg = ExperimentConfig(family="regression", n_grid=(2000, 40000), replicates=3, draws=10)
     with pytest.raises(ValueError, match="invalid config: k_cap 70 exceeds the largest "
                                          "dimension 64 of regression at n=40000"):
-        run_coverage(cfg)
+        run_coverage(ExperimentConfig(family="regression", n_grid=(2000, 40000), replicates=3,
+                                      draws=10))
     assert ran == [] and built == []
 
 

@@ -67,8 +67,8 @@ def test_prior_mass_integrates_to_one():
         g = np.exp(prior.logpdf(xs))
         mass2 = (np.outer(g, g)).sum() * dx * dx
         assert mass2 == pytest.approx(1.0, abs=1e-3)
-    # Dirichlet(2, 1) on the simplex edge parameterized by the first coordinate
-    prior = dirichlet_prior(alpha_rule=lambda k: np.array([2.0, 1.0]))
+    # Dirichlet(2, 2) on the simplex edge parameterized by the first coordinate
+    prior = dirichlet_prior(2.0)
     ts = np.linspace(1e-9, 1 - 1e-9, 20001)
     dens = np.exp([log_prior_density(prior, np.array([t, 1 - t])) for t in ts])
     assert np.trapezoid(dens, ts) == pytest.approx(1.0, abs=1e-3)
