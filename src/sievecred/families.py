@@ -5,12 +5,13 @@ data from a truth, the projection of a truth onto the k-dimensional model, and
 the semi-metric in which credible balls are built. Its likelihood has two entry
 points: `loglik(data, k)` scores a (s, k) array of theta rows, and
 `loglik_derivs(data, k)` gives theta -> (value, gradient, Hessian) for the
-smooth families. Histogram, log-linear and classification embed theta rows
-through one `embedding_rows(block, k)` method, over which centers and draw
-distances are shared. Density families (histogram, log-linear) share a fixed
-quadrature grid and embed the truth from its series on it; design families
-(regression, classification) are bound to a midpoint design of size n, on
-which Phi_k' Phi_k = n I, so regression is a Gaussian sequence model. Each
+smooth families. Log-linear and classification embed theta rows through one
+`embedding_rows(block, k)` method, over which centers and draw distances are
+shared; the histogram computes its center, draw distances and bias per bin.
+Density families (histogram, log-linear) share a fixed quadrature grid and
+embed the truth from its series on it; design families (regression,
+classification) are bound to a midpoint design of size n, on which
+Phi_k' Phi_k = n I, so regression is a Gaussian sequence model. Each
 truth series is summed by FFT (`eval_series_grid`, `eval_series_rule`). What
 depends only on the truth (its design embedding or node series, CDF table,
 normalizer, histogram cell integrals) is computed once per truth and kept in
@@ -29,7 +30,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .basis import (
     DesignGrid,
@@ -92,6 +92,12 @@ def _simplex_check(theta: np.ndarray):
 def _softplus(f: np.ndarray) -> np.ndarray:
     """log(1 + e^f) elementwise, as np.logaddexp(0, f) but by vector kernels; cannot overflow."""
     return np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
+
+
+def _logistic(f: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-f) elementwise; e^-f overflows to inf below f = -709, giving 0, silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-f))
 
 
 def _maximize(derivs, x0, n: int = 1) -> np.ndarray:
@@ -337,9 +343,6 @@ class Histogram(_Density):
             ("node_cells", k), lambda: np.minimum((self.rule.nodes * k).astype(int), k - 1)
         )
 
-    def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
-        return k * block[:, self.node_cells(k)]
-
     def center(self, draws) -> np.ndarray:
         """The mean density on the nodes: each block is summed over its draws first, per bin."""
         acc = 0.0
@@ -471,7 +474,7 @@ class Classification(_RowEmbedded, _OnDesign):
         self.basis_tag = basis_tag
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        return self._per_truth(truth, "design", lambda: expit(
+        return self._per_truth(truth, "design", lambda: _logistic(
             self.design.series(truth.coefficients)
         ))
 
@@ -494,7 +497,7 @@ class Classification(_RowEmbedded, _OnDesign):
 
         def derivs(theta):
             f = phi @ theta
-            q = expit(f)
+            q = _logistic(f)
             value = float(y @ f - _softplus(f).sum())
             grad = phi.T @ (y - q)
             hess = -(phi * (q * (1.0 - q))[:, None]).T @ phi
@@ -515,7 +518,7 @@ class Classification(_RowEmbedded, _OnDesign):
         return SemiMetric("empirical_hellinger")
 
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
-        return expit(block @ self.design.phi(k).T)
+        return _logistic(block @ self.design.phi(k).T)
 
 
 def max_dimension(tag: str, n: int, basis_tag: str = "trigonometric") -> int:

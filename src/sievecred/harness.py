@@ -350,7 +350,6 @@ class CoverageReport:
     cells: list
     rows: list
     errors: list
-    extras: dict = field(default_factory=dict)
 
     def cell(self, **query) -> dict:
         for cell in self.cells:
@@ -360,7 +359,7 @@ class CoverageReport:
 
     def _payload(self) -> dict:
         return {"op": self.op, "config": self.config, "cells": self.cells,
-                "errors": self.errors, **self.extras}
+                "errors": self.errors}
 
     def write(self, out_dir) -> dict:
         return _write_report(out_dir, self.op, self._payload(), self.rows, COVERAGE_COLUMNS)

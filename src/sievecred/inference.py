@@ -17,11 +17,11 @@ Cholesky factor.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .families import SMOOTH_FAMILY_TAGS, Dataset, Memo
 from .mcmc import McmcSettings, adaptive_rwm
@@ -89,26 +89,20 @@ class PosteriorDraws(Memo):
 
 @dataclass
 class KPosterior:
-    log_mass: dict[int, float]
+    """pi(k | Y) as probabilities `probs` over the ascending dimensions `ks`."""
 
-    def __post_init__(self):
-        logs = np.array([self.log_mass[k] for k in sorted(self.log_mass)])
-        norm = logsumexp(logs)
-        self.log_mass = {k: float(self.log_mass[k] - norm) for k in sorted(self.log_mass)}
+    ks: np.ndarray
+    probs: np.ndarray
 
     def mass(self) -> dict[int, float]:
-        return {k: float(np.exp(v)) for k, v in self.log_mass.items()}
+        return dict(zip(self.ks.tolist(), self.probs.tolist()))
 
     def mode(self) -> int:
-        ks = sorted(self.log_mass)
-        values = np.array([self.log_mass[k] for k in ks])
-        return int(ks[int(np.argmax(values))])
+        """The most probable k; ties go to the smallest."""
+        return int(self.ks[np.argmax(self.probs)])
 
     def set_mass(self, ks) -> float:
-        inside = [self.log_mass[k] for k in ks if k in self.log_mass]
-        if not inside:
-            return 0.0
-        return float(np.exp(logsumexp(np.array(inside))))
+        return float(self.probs[np.isin(self.ks, list(ks))].sum())
 
 
 def route(family_tag: str, prior: ConditionalPrior, method: str = "auto") -> str:
@@ -156,16 +150,15 @@ def _regression_conjugate(family, prior: ConditionalPrior, data: Dataset, k: int
 
 
 def _dirichlet_log_m(family, prior: ConditionalPrior, data: Dataset, k: int) -> float:
-    alphas = prior.alphas(k)
+    a = prior.alpha
     counts = family.counts(data, k)
-    log_m = (
-        data.n * np.log(k)
-        + gammaln(alphas + counts).sum()
-        - gammaln(alphas.sum() + data.n)
-        - gammaln(alphas).sum()
-        + gammaln(alphas.sum())
+    return (
+        data.n * math.log(k)
+        + sum(math.lgamma(a + c) for c in counts.tolist())
+        - math.lgamma(k * a + data.n)
+        - k * math.lgamma(a)
+        + math.lgamma(k * a)
     )
-    return float(log_m)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +294,6 @@ def marginal_table(
     data: Dataset,
     method: str = "auto",
     seed=0,
-    is_particles: int = 2048,
 ) -> MarginalLikelihoodTable:
     log_m, ess = {}, {}
     base = _seed_list(seed)
@@ -313,7 +305,6 @@ def marginal_table(
             k,
             method=method,
             seed=base + [k],
-            is_particles=is_particles,
         )
         log_m[k] = value
         ess[k] = diag.get("ess")
@@ -328,7 +319,10 @@ def mmle(table: MarginalLikelihoodTable) -> int:
 
 
 def k_posterior(table: MarginalLikelihoodTable, hyper) -> KPosterior:
-    return KPosterior({k: hyper.log_mass(k) + table.log_m[k] for k in table.ks})
+    """pi(k | Y), proportional to pi(k) m_n(k), normalised once from exp(log - max)."""
+    logs = np.array([hyper.log_mass(k) + table.log_m[k] for k in table.ks])
+    probs = np.exp(logs - logs.max())
+    return KPosterior(np.array(table.ks), probs / probs.sum())
 
 
 def sample_given_k(
@@ -348,7 +342,7 @@ def sample_given_k(
         block = mean + rng.standard_normal((count, k)) / np.sqrt(p)
         diag = {"sampler": "conjugate"}
     elif sampler == "dirichlet":
-        block = rng.dirichlet(prior.alphas(k) + family.counts(data, k), size=count)
+        block = rng.dirichlet(prior.alpha + family.counts(data, k), size=count)
         diag = {"sampler": "dirichlet"}
     else:
         mode, chol, _, _ = _laplace_fit(family, prior, data, k)
@@ -378,11 +372,8 @@ def sample_hierarchical(
     """Composition sampling: k from the k-posterior of `table`, then theta given k."""
     base = _seed_list(seed)
     kpost = k_posterior(table, prior.hyper)
-    support = np.array(sorted(kpost.log_mass))
-    probs = np.array([np.exp(kpost.log_mass[k]) for k in support])
-    probs /= probs.sum()
     rng = np.random.default_rng(base + [104729])
-    ks = rng.choice(support, size=count, p=probs)
+    ks = rng.choice(kpost.ks, size=count, p=kpost.probs)
     exact = route(family.tag, prior.conditional) != "laplace"
     min_chain = 1 if exact else 256  # short MCMC chains mix and diagnose poorly
     blocks: dict[int, np.ndarray] = {}

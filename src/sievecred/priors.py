@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,6 @@ class ConditionalPrior:
             return const - (x - self.location) ** 2 / divisor
         return const - np.abs(x - self.location) / divisor
 
-    def alphas(self, k: int) -> np.ndarray:
-        return np.full(k, self.alpha)
-
 
 def gaussian_prior(location: float = 0.0, scale: float = 1.0) -> ConditionalPrior:
     return ConditionalPrior("gaussian", location, scale)
@@ -78,10 +74,10 @@ def log_prior_rows(prior: ConditionalPrior, thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if prior.kind != "dirichlet":
         return prior.logpdf(thetas).sum(axis=1)
-    alphas = prior.alphas(thetas.shape[1])
-    norm = gammaln(alphas.sum()) - gammaln(alphas).sum()
+    k, a = thetas.shape[1], prior.alpha
+    norm = math.lgamma(k * a) - k * math.lgamma(a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(alphas == 1.0, 0.0, (alphas - 1.0) * np.log(thetas))
+        terms = np.zeros_like(thetas) if a == 1.0 else (a - 1.0) * np.log(thetas)
     out = norm + terms.sum(axis=1)
     out[np.isnan(out)] = -np.inf
     return out
@@ -95,7 +91,7 @@ def sample_prior(prior: ConditionalPrior, k: int, count: int, seed) -> np.ndarra
         return rng.normal(prior.location, prior.scale, size=(count, k))
     if prior.kind == "laplace":
         return rng.laplace(prior.location, prior.scale, size=(count, k))
-    return rng.dirichlet(prior.alphas(k), size=count)
+    return rng.dirichlet(np.full(k, prior.alpha), size=count)
 
 
 @dataclass(frozen=True)
@@ -122,10 +118,13 @@ def hyper_prior(kind: str, param: float, k_cap: int) -> HyperPrior:
     elif kind == "poisson":
         if param <= 0:
             raise ValueError("poisson rate must be positive")
-        raw = ks * np.log(param) - gammaln(ks + 1.0) - param
+        raw = ks * np.log(param) - np.array([math.lgamma(k + 1.0) for k in ks]) - param
     else:
         raise ValueError(f"unknown hyperprior kind {kind!r}")
-    return HyperPrior(kind=kind, param=param, k_cap=k_cap, _log_pmf=raw - logsumexp(raw))
+    # normalised in log space: a pmf that underflows far out in k keeps a finite log
+    top = raw.max()
+    log_pmf = raw - (top + np.log(np.exp(raw - top).sum()))
+    return HyperPrior(kind=kind, param=param, k_cap=k_cap, _log_pmf=log_pmf)
 
 
 def default_k_cap(n: int, exponent: float = 0.4) -> int:

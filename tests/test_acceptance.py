@@ -174,6 +174,7 @@ def test_criterion_05_positive_coverage(family):
         draws=1500,
         mcmc_burn_in=600,
         seed=BASE_SEED,
+        threads=2,
     )
     report = run_coverage(cfg)
     ok = True

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from sievecred import gauss_legendre_rule, generate_truth, make_family
 from sievecred.basis import basis_matrix, eval_series
-from sievecred.families import Dataset, _softplus, max_dimension
+from sievecred.families import Dataset, _logistic, _softplus, max_dimension
 from sievecred.inference import PosteriorDraws, posterior_center
 
 
@@ -317,7 +319,7 @@ def test_bias_equals_metric_distance_to_projection(reg500, loglin_family, classi
     # histogram: per-cell exact integral vs the shared-grid quadrature
     truth = generate_truth("self_similar", beta=1.0, seed=31, family_tag="histogram")
     theta = hist_family.project(truth, 5)
-    emb = hist_family.embedding_rows(theta[None, :], 5)[0]
+    emb = 5 * theta[hist_family.node_cells(5)]
     d2 = hist_family.metric().distance(hist_family.truth_embedding(truth), emb) ** 2
     assert hist_family.bias_sq(truth, 5) == pytest.approx(d2, abs=2e-3)
 
@@ -349,6 +351,13 @@ def test_softplus_matches_logaddexp_without_overflow():
         got = _softplus(f)
     ref = np.logaddexp(0.0, f)
     assert np.all(np.abs(got - ref) <= 4e-16 + 4e-16 * np.abs(ref))
+
+
+def test_logistic_saturates_without_warning():
+    # e^800 overflows to inf; pytest turns the RuntimeWarning it would raise into an error
+    got = _logistic(np.array([-800.0, -40.0, 40.0, 800.0]))
+    assert got[0] == 0.0 and got[2] == 1.0 and got[3] == 1.0
+    assert got[1] == pytest.approx(1.0 / (1.0 + math.exp(40.0)), rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2000])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from sievecred import (
     KPosterior,
@@ -70,6 +71,19 @@ def test_histogram_evidence_prior_predictive_monte_carlo():
     w = np.exp((counts * np.log(k * thetas)).sum(axis=1))
     se = w.std(ddof=1) / np.sqrt(w.size)
     assert abs(np.exp(log_m) - w.mean()) < 3 * se
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+def test_histogram_evidence_matches_gammaln_formula(hist_family, alpha):
+    data = hist_family.simulate(generate_truth("self_similar", beta=1.0, seed=3,
+                                               family_tag="histogram"), 2000, seed=4)
+    for k in (1, 2, 7, 32):
+        a = np.full(k, alpha)
+        counts = hist_family.counts(data, k)
+        ref = (2000 * np.log(k) + gammaln(a + counts).sum() - gammaln(a.sum() + 2000)
+               - gammaln(a).sum() + gammaln(a.sum()))
+        log_m, _, _ = marginal_likelihood(hist_family, dirichlet_prior(alpha), data, k)
+        assert log_m == pytest.approx(ref, rel=1e-12), k
 
 
 def test_laplace_equals_conjugate_for_gaussian_regression(reg500, truth_b1):
@@ -188,6 +202,7 @@ def test_k_posterior_flat_hyper_equal_evidence():
     kp = k_posterior(table, hyper)
     assert kp.mass()[1] == pytest.approx(0.5, abs=1e-12)
     assert kp.mass()[2] == pytest.approx(0.5, abs=1e-12)
+    assert kp.mode() == 1
 
 
 def test_k_posterior_point_mass():
@@ -217,6 +232,19 @@ def test_k_posterior_invariant_to_constant_shift():
     a, b = k_posterior(table, hyper).mass(), k_posterior(shifted, hyper).mass()
     for k in logs:
         assert a[k] == pytest.approx(b[k], abs=1e-12)
+
+
+def test_k_posterior_matches_logsumexp_reference():
+    # log evidences of moderate size: the reference exp(l - logsumexp) itself
+    # loses about ulp(|logsumexp|) in its exponent
+    hyper = hyper_prior("geometric", 0.3, k_cap=20)
+    rng = np.random.default_rng(11)
+    logs = {k: float(v) for k, v in enumerate(5.0 * rng.standard_normal(20) - 10.0, start=1)}
+    kp = k_posterior(MarginalLikelihoodTable(log_m=logs, route="x"), hyper)
+    joint = np.array([hyper.log_mass(k) + logs[k] for k in range(1, 21)])
+    ref = np.exp(joint - logsumexp(joint))
+    assert np.allclose(kp.probs, ref, rtol=0.0, atol=1e-14)
+    assert kp.set_mass({3, 4, 5, 40}) == pytest.approx(ref[2:5].sum(), abs=1e-14)
 
 
 def test_k_posterior_normalized():
@@ -372,8 +400,6 @@ def test_center_matches_conjugate_mean_function(reg500, truth_b1):
 
 
 def test_histogram_per_bin_center_and_distances_match_node_path(hist_family):
-    from sievecred.families import _RowEmbedded
-
     truth = generate_truth("self_similar", beta=0.8, seed=5, family_tag="histogram")
     data = hist_family.simulate(truth, 2000, 9)
     prior = prior_from_config({}, "histogram", 2000)
@@ -383,12 +409,14 @@ def test_histogram_per_bin_center_and_distances_match_node_path(hist_family):
     # single-k posteriors too, whose bins cut the rule's 128 cells (10 and 12 do not divide 128)
     single = [sample_given_k(hist_family, prior.conditional, data, k, 1500, 6) for k in (10, 12)]
     for posterior in [draws, *single]:
+        # the node path: each draw's density k theta_j on the nodes of bin j
+        rows = np.concatenate([k * block[:, hist_family.node_cells(k)]
+                               for k, block in sorted(posterior.blocks.items())])
         center = hist_family.center(posterior)
-        reference = _RowEmbedded.center(hist_family, posterior)
-        np.testing.assert_allclose(center, reference, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(center, rows.mean(axis=0), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
             hist_family.draw_distances(posterior, center),
-            _RowEmbedded.draw_distances(hist_family, posterior, center),
+            hist_family.metric().distances(rows, center),
             rtol=1e-12, atol=0.0,
         )
 

@@ -86,6 +86,15 @@ def test_poisson_truncated_normalization():
     assert all(np.isfinite(hp.log_mass(k)) for k in range(1, 11))
 
 
+@pytest.mark.parametrize("kind,param", [("poisson", 0.1), ("geometric", 0.5)])
+def test_log_pmf_finite_where_the_pmf_underflows(kind, param):
+    # at k = 128 a Poisson(0.1) pmf is about e^-778, below the smallest double
+    hp = hyper_prior(kind, param, k_cap=128)
+    logs = np.array([hp.log_mass(k) for k in range(1, 129)])
+    assert np.all(np.isfinite(logs))
+    assert abs(logsumexp(logs)) < 1e-12
+
+
 def test_out_of_support_rejected():
     hp = hyper_prior("geometric", 0.5, k_cap=10)
     with pytest.raises(ValueError):
