@@ -32,7 +32,6 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 
 MARGINAL_METHODS = ("auto", "laplace", "importance")
 
-_ABS_SMOOTHING = 1e-8  # softened |x| used only inside Newton for laplace priors
 _ESS_FLOOR = 64.0  # importance sampling retries, then fails, below this effective sample size
 
 
@@ -111,16 +110,17 @@ def route(family_tag: str, prior: ConditionalPrior, method: str = "auto") -> str
     'auto' takes the exact route where one exists, 'conjugate' (regression,
     gaussian prior) or 'dirichlet' (histogram, dirichlet prior), and else
     'laplace', which approximates at the posterior mode of a smooth family
-    under a gaussian or laplace prior. 'laplace' and 'importance', which
-    corrects laplace's evidence by importance sampling, can be asked of any
-    such pairing. Raises ValueError when `method` names no route for the pairing.
+    under the gaussian prior. 'laplace' and 'importance', which corrects
+    laplace's evidence by importance sampling, can be asked of any smooth family
+    with the gaussian prior; the dirichlet prior has no route but 'dirichlet'.
+    Raises ValueError when `method` names no route for the pairing.
     """
     if method not in MARGINAL_METHODS:
         raise ValueError(f"unknown marginal_method {method!r}")
     exact = {("regression", "gaussian"): "conjugate",
              ("histogram", "dirichlet"): "dirichlet"}.get((family_tag, prior.kind))
     chosen = (exact or "laplace") if method == "auto" else method
-    smooth = family_tag in SMOOTH_FAMILY_TAGS and prior.kind != "dirichlet"
+    smooth = family_tag in SMOOTH_FAMILY_TAGS and prior.kind == "gaussian"
     if chosen in ("laplace", "importance") and not smooth:
         raise ValueError(f"no {method} route for {family_tag} with a {prior.kind} prior")
     return chosen
@@ -131,21 +131,14 @@ def route(family_tag: str, prior: ConditionalPrior, method: str = "auto") -> str
 
 
 def _regression_conjugate(family, prior: ConditionalPrior, data: Dataset, k: int):
-    """Posterior mean, posterior precision p and evidence for gaussian priors.
+    """Posterior mean, posterior precision p and evidence for the gaussian prior.
 
     With Phi'Phi = n I the posterior given k is N(b/p, I/p), where
-    p = n + 1/tau^2 and b = Phi'y + m0/tau^2.
+    p = n + 1/tau^2 and b = Phi'y.
     """
-    tau2 = prior.scale**2
-    phi_y, yy, const = family._quadratic(data, k)
-    p = family.n + 1.0 / tau2
-    b = phi_y + prior.location / tau2
-    log_m = (
-        const
-        - k * np.log(prior.scale)
-        - 0.5 * k * np.log(p)
-        + 0.5 * (float(b @ b) / p - yy - k * prior.location**2 / tau2)
-    )
+    b, yy, const = family._quadratic(data, k)
+    p = family.n + 1.0 / prior.scale**2
+    log_m = const - k * np.log(prior.scale) - 0.5 * k * np.log(p) + 0.5 * (float(b @ b) / p - yy)
     return b / p, p, float(log_m)
 
 
@@ -168,29 +161,13 @@ def _dirichlet_log_m(family, prior: ConditionalPrior, data: Dataset, k: int) -> 
 def _neg_log_post_parts(family, prior: ConditionalPrior, data: Dataset, k: int):
     """Callable theta -> (value, grad, hess) of -(loglik + logprior), unscaled."""
     lik_parts = family.loglik_derivs(data, k)
-
-    if prior.kind == "gaussian":
-        s2 = prior.scale**2
-
-        def prior_parts(theta):
-            d = theta - prior.location
-            value = -0.5 * k * np.log(2.0 * np.pi * s2) - 0.5 * float(d @ d) / s2
-            return value, -d / s2, -np.eye(k) / s2
-
-    else:
-
-        def prior_parts(theta):
-            d = theta - prior.location
-            soft = np.sqrt(d**2 + _ABS_SMOOTHING**2)
-            value = -k * np.log(2.0 * prior.scale) - float(soft.sum()) / prior.scale
-            grad = -(d / soft) / prior.scale
-            hess = -np.diag(_ABS_SMOOTHING**2 / soft**3) / prior.scale
-            return value, grad, hess
+    s2 = prior.scale**2
+    prior_const, prior_hess = -0.5 * k * np.log(2.0 * np.pi * s2), -np.eye(k) / s2
 
     def parts(theta):
         lv, lg, lh = lik_parts(theta)
-        pv, pg, ph = prior_parts(theta)
-        return -(lv + pv), -(lg + pg), -(lh + ph)
+        pv = prior_const - 0.5 * float(theta @ theta) / s2
+        return -(lv + pv), -(lg - theta / s2), -(lh + prior_hess)
 
     return parts
 

@@ -1,9 +1,9 @@
 """Sieve priors: a hyperprior on the dimension k and conditional priors on Theta(k).
 
 The hyperprior is geometric or Poisson restricted to {1, ..., k_cap} and
-renormalized. Conditional priors are either an iid product of a base density g
-(gaussian or laplace, both inside the exponential tail envelope with q = 2 and
-q = 1 respectively) or a Dirichlet on the simplex for histograms.
+renormalized. Conditional priors are either an iid product of the centred
+gaussian density g = N(0, scale^2), inside the exponential tail envelope with
+q = 2, or a Dirichlet on the simplex for histograms.
 """
 
 from __future__ import annotations
@@ -17,16 +17,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ConditionalPrior:
-    """The prior on Theta(k), by `kind`: an iid product of the "gaussian" or "laplace"
-    density g with `location` and `scale`, or a "dirichlet" with `alpha` on the simplex."""
+    """The prior on Theta(k), by `kind`: an iid product of the "gaussian" density
+    g = N(0, scale^2), or a "dirichlet" with `alpha` on the simplex."""
 
     kind: str
-    location: float = 0.0
     scale: float = 1.0
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "laplace", "dirichlet"):
+        if self.kind not in ("gaussian", "dirichlet"):
             raise ValueError(f"unknown conditional prior kind {self.kind!r}")
         if self.kind == "dirichlet":
             if self.alpha <= 0:
@@ -36,26 +35,18 @@ class ConditionalPrior:
 
     @cached_property
     def _log_g_terms(self) -> tuple:
-        """(log of g's normalizer, divisor of the centred square or |.|), made once."""
-        if self.kind == "gaussian":
-            return -0.5 * np.log(2.0 * np.pi * self.scale**2), 2.0 * self.scale**2
-        return -np.log(2.0 * self.scale), self.scale
+        """(log of g's normalizer, divisor of the square), made once."""
+        return -0.5 * np.log(2.0 * np.pi * self.scale**2), 2.0 * self.scale**2
 
     def logpdf(self, x) -> np.ndarray:
-        """log g(x) for the base density g of a gaussian or laplace prior."""
+        """log g(x) for the base density g of a gaussian prior."""
         x = np.asarray(x, dtype=float)
         const, divisor = self._log_g_terms
-        if self.kind == "gaussian":
-            return const - (x - self.location) ** 2 / divisor
-        return const - np.abs(x - self.location) / divisor
+        return const - x**2 / divisor
 
 
-def gaussian_prior(location: float = 0.0, scale: float = 1.0) -> ConditionalPrior:
-    return ConditionalPrior("gaussian", location, scale)
-
-
-def laplace_prior(location: float = 0.0, scale: float = 1.0) -> ConditionalPrior:
-    return ConditionalPrior("laplace", location, scale)
+def gaussian_prior(scale: float = 1.0) -> ConditionalPrior:
+    return ConditionalPrior("gaussian", scale)
 
 
 def dirichlet_prior(alpha: float = 1.0) -> ConditionalPrior:
@@ -88,9 +79,7 @@ def sample_prior(prior: ConditionalPrior, k: int, count: int, seed) -> np.ndarra
         raise ValueError("k must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if prior.kind == "gaussian":
-        return rng.normal(prior.location, prior.scale, size=(count, k))
-    if prior.kind == "laplace":
-        return rng.laplace(prior.location, prior.scale, size=(count, k))
+        return rng.normal(0.0, prior.scale, size=(count, k))
     return rng.dirichlet(np.full(k, prior.alpha), size=count)
 
 
@@ -140,8 +129,7 @@ class SievePrior:
 # the keys each kind reads, per section
 _PRIOR_KINDS = {
     "hyper": {"geometric": ("p",), "poisson": ("lambda",)},
-    "conditional": {"gaussian": ("location", "scale"), "laplace": ("location", "scale"),
-                    "dirichlet": ("alpha",)},
+    "conditional": {"gaussian": ("scale",), "dirichlet": ("alpha",)},
 }
 
 
@@ -178,8 +166,8 @@ def prior_from_config(config: dict, family_tag: str, n: int) -> SievePrior:
      "k_cap_exponent": 0.4}
 
     Each kind reads its own keys: geometric `p`, poisson `lambda`, gaussian
-    and laplace `location` and `scale`, dirichlet `alpha`. Any other key is an
-    error, so a misspelled or misplaced one is not ignored.
+    `scale`, dirichlet `alpha`. Any other key is an error, so a misspelled or
+    misplaced one is not ignored.
     """
     unknown = unknown_prior_keys(config, family_tag)
     if unknown:

@@ -70,6 +70,8 @@ def test_config_validation():
         {"prior": {"hyper": {"kind": "poisson", "p": 0.2}}},
         {"prior": {"conditional": {"kind": "dirichlet", "scale": 3.0}}},
         {"prior": {"conditional": {"kind": "gaussian", "alpha": 2.0}}},
+        {"prior": {"conditional": {"kind": "laplace"}}},
+        {"prior": {"conditional": {"kind": "gaussian", "location": 0.5}}},
         {"L_grid": (-1.0,)},
         # pairings with no route, and prior values the prior rejects
         {"family": "histogram", "prior": {"conditional": {"kind": "gaussian"}}},

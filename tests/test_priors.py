@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from sievecred import (
     default_k_cap,
     dirichlet_prior,
     gaussian_prior,
     hyper_prior,
-    laplace_prior,
     log_prior_density,
     prior_from_config,
     sample_prior,
@@ -26,10 +26,10 @@ def test_flat_dirichlet_density_is_one():
         assert log_prior_density(prior, np.array([t, 1 - t])) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_laplace_density_product_closed_form():
-    prior = laplace_prior(scale=0.7)
+def test_gaussian_density_product_closed_form():
+    prior = gaussian_prior(scale=0.7)
     theta = np.array([0.3, -1.2, 2.0])
-    direct = sum(-np.log(2 * 0.7) - abs(t) / 0.7 for t in theta)
+    direct = norm.logpdf(theta, scale=0.7).sum()
     assert log_prior_density(prior, theta) == pytest.approx(direct, abs=1e-12)
 
 
@@ -51,17 +51,11 @@ def test_dirichlet_sampling_mean():
     assert np.allclose(draws.mean(axis=0), 1 / 3, atol=4 * np.sqrt(2 / 9 / 100_000))
 
 
-def test_laplace_sampling_variance():
-    b = 0.8
-    draws = sample_prior(laplace_prior(scale=b), k=1, count=100_000, seed=2)
-    assert draws.var() == pytest.approx(2 * b**2, rel=0.05)
-
-
 def test_prior_mass_integrates_to_one():
     # k = 1 by quadrature, k = 2 by a tensor grid, both within 1e-3
     xs = np.linspace(-12, 12, 4001)
     dx = xs[1] - xs[0]
-    for prior in (gaussian_prior(), laplace_prior(scale=0.5)):
+    for prior in (gaussian_prior(), gaussian_prior(scale=0.5)):
         mass1 = np.exp([log_prior_density(prior, np.array([x])) for x in xs]).sum() * dx
         assert mass1 == pytest.approx(1.0, abs=1e-3)
         g = np.exp(prior.logpdf(xs))
@@ -127,13 +121,13 @@ def test_prior_from_config_defaults():
 
     sieve = prior_from_config(
         {"hyper": {"kind": "poisson", "lambda": 2.0},
-         "conditional": {"kind": "laplace", "scale": 0.5},
+         "conditional": {"kind": "gaussian", "scale": 0.5},
          "k_cap_exponent": 0.3},
         "regression",
         1000,
     )
     assert sieve.hyper.kind == "poisson"
-    assert sieve.conditional.kind == "laplace"
+    assert sieve.conditional == gaussian_prior(scale=0.5)
     assert sieve.hyper.k_cap == int(np.ceil(1000**0.3))
 
 
@@ -147,6 +141,9 @@ def test_prior_from_config_defaults():
         ({"hyper": {"kind": "poisson", "p": 0.2}}, r"hyper.p \(poisson\)"),
         ({"conditional": {"kind": "dirichlet", "scale": 3.0}}, r"conditional.scale \(dirichlet\)"),
         ({"conditional": {"kind": "gaussian", "alpha": 2.0}}, r"conditional.alpha \(gaussian\)"),
+        ({"conditional": {"kind": "laplace"}}, r"conditional.kind \(laplace\)"),
+        ({"conditional": {"kind": "gaussian", "location": 0.5}},
+         r"conditional.location \(gaussian\)"),
     ],
 )
 def test_prior_from_config_rejects_unknown_keys(config, key):
