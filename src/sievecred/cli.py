@@ -53,6 +53,13 @@ def _build_problem(args, **fields) -> _Context:
     return _Context(_config(args, **fields), args.n)
 
 
+def _require_dimension(ctx: _Context, flag: str, k: int):
+    """Reject a `flag` value k outside the family's dimensions 1..max_k."""
+    if not 1 <= k <= ctx.family.max_k:
+        raise ValueError(f"invalid config: {flag} {k} must lie in 1..{ctx.family.max_k}, "
+                         f"the dimensions of {ctx.cfg.family} at n={ctx.n}")
+
+
 def _out_path(args, name):
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -71,9 +78,7 @@ def cmd_simulate(args):
 def cmd_bias(args):
     ctx = _build_problem(args, tail_r0=args.r0, tail_k0=args.k0, tail_tau=args.tau)
     k_max = ctx.prior.hyper.k_cap if args.k_max is None else args.k_max
-    if not 1 <= k_max <= ctx.family.max_k:
-        raise ValueError(f"invalid config: --k-max {k_max} must lie in 1..{ctx.family.max_k}, "
-                         f"the dimensions of {args.family} at n={args.n}")
+    _require_dimension(ctx, "--k-max", k_max)
     profile = bias_profile(ctx.truth, ctx.family, k_max, args.n)
     profile.to_csv(_out_path(args, "bias.csv"))
     with open(_out_path(args, "bias.json"), "w") as fh:
@@ -95,9 +100,10 @@ def cmd_mmle(args):
 
 
 def cmd_posterior(args):
-    ctx = _build_problem(args, mcmc_burn_in=args.burn_in)
+    ctx = _build_problem(args, draws=args.count, mcmc_burn_in=args.burn_in)
     data = ctx.data(1)
     if args.k is not None:
+        _require_dimension(ctx, "--k", args.k)
         draws = sample_given_k(ctx.family, ctx.prior.conditional, data, args.k, args.count,
                                ctx.stream(1, "given_k"), mcmc=ctx.mcmc)
     else:

@@ -94,8 +94,10 @@ class ExperimentConfig:
                 (self.generator in GENERATOR_TAGS, f"unknown generator {self.generator!r}"),
                 (self.generator != "explicit" or bool(self.truth_coefficients),
                  "explicit truths need truth_coefficients"),
+                (all(map(math.isfinite, self.truth_coefficients)),
+                 "truth_coefficients must be finite"),
                 (self.beta > 0.5, "beta must exceed 1/2"),
-                (self.L0 > 0, "L0 must be > 0"),
+                (math.isfinite(self.L0) and self.L0 > 0, "L0 must be finite and > 0"),
                 (self.truth_length >= 1, "truth_length must be >= 1"),
                 (self.family in FAMILY_TAGS, f"unknown family {self.family!r}"),
                 (self.basis in BASIS_TAGS, f"unknown basis {self.basis!r}"),
@@ -130,7 +132,7 @@ class ExperimentConfig:
                     raise ValueError(f"k_cap {prior.hyper.k_cap} exceeds the largest "
                                      f"dimension {largest} of {self.family} at n={n}")
             route(self.family, prior.conditional, self.marginal_method)
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, OverflowError) as err:
             raise ValueError(f"invalid config: {err}") from None
 
     @property

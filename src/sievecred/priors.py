@@ -15,6 +15,11 @@ from functools import cached_property
 import numpy as np
 
 
+def _positive(value) -> bool:
+    """True for a finite value > 0; NaN fails, where `value <= 0` would let it pass."""
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class ConditionalPrior:
     """The prior on Theta(k), by `kind`: an iid product of the "gaussian" density
@@ -28,10 +33,10 @@ class ConditionalPrior:
         if self.kind not in ("gaussian", "dirichlet"):
             raise ValueError(f"unknown conditional prior kind {self.kind!r}")
         if self.kind == "dirichlet":
-            if self.alpha <= 0:
-                raise ValueError("dirichlet prior requires positive alpha")
-        elif self.scale <= 0:
-            raise ValueError("scale must be positive")
+            if not _positive(self.alpha):
+                raise ValueError("dirichlet prior requires a finite positive alpha")
+        elif not _positive(self.scale):
+            raise ValueError("scale must be finite and positive")
 
     @cached_property
     def _log_g_terms(self) -> tuple:
@@ -105,8 +110,8 @@ def hyper_prior(kind: str, param: float, k_cap: int) -> HyperPrior:
             raise ValueError("geometric parameter must lie in (0, 1)")
         raw = np.log(param) + (ks - 1.0) * np.log1p(-param)
     elif kind == "poisson":
-        if param <= 0:
-            raise ValueError("poisson rate must be positive")
+        if not _positive(param):
+            raise ValueError("poisson rate must be finite and positive")
         raw = ks * np.log(param) - np.array([math.lgamma(k + 1.0) for k in ks]) - param
     else:
         raise ValueError(f"unknown hyperprior kind {kind!r}")

@@ -102,6 +102,15 @@ def test_config_validation():
         {"control_L": -1.0},
         {"m_n_exponent": float("nan")},
         {"generator": "sobolev_draw", "L0": -1.0},
+        # non-finite values that used to build a config whose every replicate failed
+        {"prior": {"conditional": {"kind": "gaussian", "scale": float("nan")}}},
+        {"prior": {"conditional": {"kind": "gaussian", "scale": float("inf")}}},
+        {"family": "histogram", "prior": {"conditional": {"kind": "dirichlet",
+                                                          "alpha": float("nan")}}},
+        {"prior": {"hyper": {"kind": "poisson", "lambda": float("nan")}}},
+        {"generator": "explicit", "truth_coefficients": (1.0, float("nan"))},
+        {"generator": "sobolev_draw", "L0": float("inf")},
+        {"prior": {"k_cap_exponent": float("inf")}},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
@@ -419,6 +428,25 @@ def test_cli_bias_rejects_bad_flags_before_any_profile(monkeypatch, tmp_path, fl
         cli_main(["bias", "--family", "regression", "--n", "300", *flags,
                   "--out-dir", str(tmp_path)])
     assert profiled == []
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "0"], "--k 0 must lie in 1..64"),
+    (["--k", "-1"], "--k -1 must lie in 1..64"),
+    (["--k", "80"], "--k 80 must lie in 1..64"),
+    (["--count", "0"], "draws must be >= 1"),
+    (["--count", "-5"], "draws must be >= 1"),
+    (["--k", "2", "--count", "0"], "draws must be >= 1"),
+])
+def test_cli_posterior_rejects_bad_flags_before_any_sampler(monkeypatch, tmp_path, flags,
+                                                            message):
+    sampled = []
+    monkeypatch.setattr(cli, "sample_given_k", lambda *a, **kw: sampled.append(a))
+    monkeypatch.setattr(cli, "sample_hierarchical", lambda *a, **kw: sampled.append(a))
+    with pytest.raises(ValueError, match="invalid config: " + re.escape(message)):
+        cli_main(["posterior", "--family", "regression", "--n", "200", *flags,
+                  "--out-dir", str(tmp_path)])
+    assert sampled == []
 
 
 def test_cli_bias_tail_flags_reach_the_check(tmp_path, capsys):
