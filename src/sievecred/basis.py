@@ -112,12 +112,16 @@ class DesignGrid:
     def n(self) -> int:
         return self.points.size
 
-    def phi(self, k: int) -> np.ndarray:
+    def check_k(self, k: int) -> int:
+        """k, if the design is built for it; raises ValueError otherwise."""
         if k > self.k_design:
             raise ValueError(
                 f"k={k} exceeds the orthonormal design range k <= {self.k_design}"
             )
-        return self._phi[:, :k]
+        return k
+
+    def phi(self, k: int) -> np.ndarray:
+        return self._phi[:, : self.check_k(k)]
 
     def series(self, coefficients) -> np.ndarray:
         """sum_j c_j phi_j at the design points.

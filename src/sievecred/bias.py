@@ -17,8 +17,13 @@ from typing import Optional
 import numpy as np
 
 
+ZERO_BIAS_TOL = 1e-12  # |b(k)| at or below this is rounding noise and read as 0.0
+
+
 @dataclass
 class BiasProfile:
+    """b(k) for k = 1..k_max; a value within ZERO_BIAS_TOL of zero is stored as 0.0."""
+
     values: dict[int, float]
     n: int
     k_max: int
@@ -28,9 +33,10 @@ class BiasProfile:
     def __post_init__(self):
         if any(k < 1 for k in self.values):
             raise ValueError("bias profile is defined for k >= 1")
-        if any(v < -1e-12 for v in self.values.values()):
+        if any(v < -ZERO_BIAS_TOL for v in self.values.values()):
             raise ValueError("negative bias value")
-        self.values = {int(k): max(float(v), 0.0) for k, v in sorted(self.values.items())}
+        self.values = {int(k): 0.0 if v <= ZERO_BIAS_TOL else float(v)
+                       for k, v in sorted(self.values.items())}
         if self.k_n is None and not self.beyond_range:
             self._locate_kn()
 

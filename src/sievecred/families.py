@@ -14,10 +14,12 @@ classification) are bound to a midpoint design of size n, on which
 Phi_k' Phi_k = n I, so regression is a Gaussian sequence model. Each
 truth series is summed by FFT (`eval_series_grid`, `eval_series_rule`). What
 depends only on the truth (its design embedding or node series, CDF table,
-normalizer, histogram cell integrals) is computed once per truth and kept in
-the family's memo; what depends only on one dataset (the log-linear sufficient
-statistics, and the Laplace fits of `inference`) is computed once per dataset
-and kept in the dataset's memo; and each block's embedding rows are computed
+normalizer, histogram cell integrals, regression coefficients Phi_K' f0 / n
+and residual) is computed once per truth and kept in the family's memo; what
+depends only on one dataset (the sufficient statistics, Phi_K' y and y'y for
+regression and column sums for log-linear, and the Laplace fits of
+`inference`) is computed once per dataset and kept in the dataset's memo, and
+each k reads a slice of it; and each block's embedding rows are computed
 once per set of draws and kept in the draws' memo, so a center and its draw
 distances share them.
 """
@@ -62,7 +64,7 @@ class Memo:
 
 @dataclass(frozen=True)
 class Dataset(Memo):
-    """A sample; its memo keeps the Laplace fits and log-linear statistics made from it."""
+    """A sample; its memo keeps the Laplace fits and sufficient statistics made from it."""
 
     family_tag: str
     y: np.ndarray
@@ -230,9 +232,19 @@ class Regression(_OnDesign):
         return self.truth_embedding(truth) + rng.standard_normal(n)
 
     def _quadratic(self, data: Dataset, k: int):
-        """(Phi'y, y'y, -n/2 log 2 pi): with Phi'Phi = n I the log-likelihood is a quadratic in these."""
-        phi_y = self.design.phi(k).T @ data.y
-        return phi_y, float(data.y @ data.y), -0.5 * data.n * _LOG2PI
+        """(Phi_k'y, y'y, -n/2 log 2 pi): with Phi'Phi = n I the log-likelihood is a quadratic in these.
+
+        Phi_K'y for K = `max_k` and y'y are made once per dataset; Phi_k'y is
+        the first k entries of Phi_K'y.
+        """
+
+        def compute():
+            phi_y = self.design.phi(self.max_k).T @ data.y
+            phi_y.flags.writeable = False  # every k shares it
+            return phi_y, float(data.y @ data.y)
+
+        phi_y, yy = data.once(("quadratic", self.tag, self.basis_tag), compute)
+        return phi_y[: self.design.check_k(k)], yy, -0.5 * data.n * _LOG2PI
 
     def loglik(self, data: Dataset, k: int):
         phi_y, yy, const = self._quadratic(data, k)
@@ -252,13 +264,28 @@ class Regression(_OnDesign):
 
         return derivs
 
+    def _coefficients(self, truth: TruthSpec):
+        """(a, r_K): a = Phi_K'f0/n for K = `max_k`, and r_K = |f0 - Phi_K a|^2/n, once per truth."""
+
+        def compute():
+            f0 = self.truth_embedding(truth)
+            phi = self.design.phi(self.max_k)
+            a = phi.T @ f0 / self.n
+            r = f0 - phi @ a
+            a.flags.writeable = False  # every k shares it
+            return a, float(r @ r) / self.n
+
+        return self._per_truth(truth, "coefficients", compute)
+
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
-        return self.design.phi(k).T @ self.truth_embedding(truth) / self.n
+        """The first k entries of a = Phi_K'f0/n."""
+        return self._coefficients(truth)[0][: self.design.check_k(k)].copy()
 
     def bias_sq(self, truth: TruthSpec, k: int) -> float:
-        f0 = self.truth_embedding(truth)
-        r = f0 - self.design.phi(k) @ self.project(truth, k)
-        return float(r @ r) / self.n
+        """|f0 - Phi_k a_k|^2/n = r_K + sum_{k<j<=K} a_j^2, as the columns are orthogonal."""
+        a, r_K = self._coefficients(truth)
+        tail = a[self.design.check_k(k):]
+        return r_K + float(tail @ tail)
 
     def metric(self) -> SemiMetric:
         return SemiMetric("empirical_l2")

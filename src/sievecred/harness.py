@@ -96,6 +96,8 @@ class ExperimentConfig:
                  "explicit truths need truth_coefficients"),
                 (all(map(math.isfinite, self.truth_coefficients)),
                  "truth_coefficients must be finite"),
+                (all(map(math.isfinite, (self.beta, *self.L_grid, *self.tradeoff_M))),
+                 "beta, L_grid and tradeoff_M must be finite"),
                 (self.beta > 0.5, "beta must exceed 1/2"),
                 (math.isfinite(self.L0) and self.L0 > 0, "L0 must be finite and > 0"),
                 (self.truth_length >= 1, "truth_length must be >= 1"),

@@ -8,10 +8,12 @@ optionally corrected by importance sampling with the Laplace Gaussian as
 proposal; regression can take either, to check it against the exact evidence.
 Within-model sampling is exact where conjugacy allows and otherwise uses
 adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian.
-`route` decides which of these a family and prior take. Each Laplace fit is
-made once per dataset and prior and kept in the dataset's memo, so the
-evidence table, the importance route and every chain share its mode and
-Cholesky factor.
+`route` decides which of these a family and prior take. What depends only on
+one dataset is made once and kept in the dataset's memo: each Laplace fit,
+once per prior and k, so the evidence table, the importance route and every
+chain share its mode and Cholesky factor; and on the conjugate route the
+regression statistic (Phi_K'y, y'y), so the table and every k the samplers
+visit slice one product.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class KPosterior:
         return int(self.ks[np.argmax(self.probs)])
 
     def set_mass(self, ks) -> float:
-        return float(self.probs[np.isin(self.ks, list(ks))].sum())
+        """The mass of the dimensions in the container `ks`; those outside the support add 0."""
+        return float(self.probs[[k in ks for k in self.ks.tolist()]].sum())
 
 
 def route(family_tag: str, prior: ConditionalPrior, method: str = "auto") -> str:

@@ -8,8 +8,10 @@ from sievecred import (
     check_polished_tail,
     generate_truth,
     l2_bias_profile,
+    make_family,
     tradeoff_set,
 )
+from sievecred.bias import ZERO_BIAS_TOL, polished_tail_verdict
 
 
 def _power_law_coeffs(exponent, length=4096):
@@ -187,6 +189,31 @@ def test_polished_tail_zero_bias_vacuous():
     values = {k: (0.5 if k < 3 else 0.0) for k in range(1, 13)}
     profile = BiasProfile(values=values, n=1000, k_max=12)
     assert check_polished_tail(profile, PolishedTailParams(r0=2, k0=3, tau=0.1)).holds
+
+
+@pytest.mark.parametrize("tag", ["regression", "loglinear", "classification"])
+def test_polished_tail_of_a_truth_inside_the_sieve_holds_at_every_n(tag):
+    # b(k) beyond the truth's length is rounding noise (1e-32 to 1e-18), read as 0.0,
+    # so the zero-bias terms pass vacuously whatever n is
+    params = PolishedTailParams()
+    for n in (500, 2000, 8000):
+        fam = make_family(tag, n=n)
+        for coefficients in ([0.5, -0.3, 0.2], [0.5, -0.3, 0.2, 0.1]):
+            truth = generate_truth("explicit", beta=1.0, coefficients=coefficients,
+                                   family_tag=tag)
+            profile = bias_profile(truth, fam, k_max=8, n=n)
+            assert all(profile.values[k] == 0.0 for k in range(len(coefficients), 9))
+            verdict = polished_tail_verdict(truth, fam, profile, params)
+            assert verdict == {"holds": True, "first_violation": None}, (n, coefficients)
+        # a truth outside every sieve is far above the tolerance; its verdict is the hand scan's
+        truth = generate_truth("self_similar", beta=1.0, seed=5, family_tag=tag)
+        profile = bias_profile(truth, fam, k_max=16, n=n)
+        raw = {k: fam.bias_sq(truth, k) for k in range(1, 17)}
+        assert all(profile.values[k] == raw[k] > ZERO_BIAS_TOL for k in raw)
+        first = next((k for k in range(params.k0, profile.k_n + 1)
+                      if raw[k * params.r0] > params.tau * raw[k]), None)
+        assert polished_tail_verdict(truth, fam, profile, params) == {
+            "holds": first is None, "first_violation": first}
 
 
 def test_polished_tail_range_error():

@@ -209,6 +209,45 @@ def test_regression_projection_out_of_range_raises(reg500):
     truth = generate_truth("self_similar", beta=1.0, seed=1)
     with pytest.raises(ValueError):
         reg500.project(truth, reg500.max_k + 1)
+    with pytest.raises(ValueError):
+        reg500.bias_sq(truth, reg500.max_k + 1)
+
+
+DESIGN_SIZES = [3, 5, 200, 2000, 8000, 32000]
+
+
+@pytest.mark.parametrize("basis", ["trigonometric", "cosine"])
+@pytest.mark.parametrize("n", DESIGN_SIZES)
+def test_regression_dataset_product_matches_the_per_k_product(basis, n):
+    # Phi_K'y is made once per dataset and sliced; each slice is Phi_k'y up to rounding
+    fam = make_family("regression", n=n, basis_tag=basis)
+    truth = generate_truth("self_similar", beta=1.0, seed=11, basis_tag=basis)
+    data = fam.simulate(truth, n, seed=4)
+    bound = 1e-14 * np.linalg.norm(data.y) * np.sqrt(n)
+    for k in range(1, fam.max_k + 1):
+        phi_y, yy, _ = fam._quadratic(data, k)
+        assert phi_y.shape == (k,)
+        assert np.max(np.abs(fam.design.phi(k).T @ data.y - phi_y)) <= bound, k
+        assert yy == float(data.y @ data.y)
+
+
+@pytest.mark.parametrize("basis", ["trigonometric", "cosine"])
+@pytest.mark.parametrize("n", DESIGN_SIZES)
+def test_regression_coefficient_bias_matches_the_design_residual(basis, n):
+    # b(k) = r_K + sum_{k<j<=K} a_j^2 against |f0 - Phi_k Phi_k'f0/n|^2/n on the design
+    fam = make_family("regression", n=n, basis_tag=basis)
+    for truth in (generate_truth("self_similar", beta=1.0, seed=11, basis_tag=basis),
+                  generate_truth("explicit", beta=1.0, coefficients=[0.5, -0.3, 0.2],
+                                 basis_tag=basis)):
+        f0 = fam.truth_embedding(truth)
+        bound = 1e-14 * np.linalg.norm(f0) * np.sqrt(n) / n
+        for k in range(1, fam.max_k + 1):
+            phi = fam.design.phi(k)
+            a = phi.T @ f0 / n
+            r = f0 - phi @ a
+            case = (truth.generator_tag, k)
+            assert abs(fam.bias_sq(truth, k) - float(r @ r) / n) <= 4e-15, case
+            assert np.max(np.abs(fam.project(truth, k) - a)) <= bound, case
 
 
 def test_histogram_projection_uniform(hist_family):

@@ -111,10 +111,24 @@ def test_config_validation():
         {"generator": "explicit", "truth_coefficients": (1.0, float("nan"))},
         {"generator": "sobolev_draw", "L0": float("inf")},
         {"prior": {"k_cap_exponent": float("inf")}},
+        # infinite values that used to build a config whose reports held the bare token Infinity
+        {"L_grid": (float("inf"),)},
+        {"beta": float("inf")},
+        {"tradeoff_M": (float("inf"),)},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):
             ExperimentConfig(**bad)
+
+
+def test_coverage_report_is_strict_json(tmp_path):
+    # NaN, Infinity and -Infinity are not JSON; a strict parser refuses them
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    run_coverage(_tiny_config(replicates=2, draws=50, out_dir=str(tmp_path)))
+    report = json.loads((tmp_path / "coverage_report.json").read_text(), parse_constant=refuse)
+    assert report["cells"]
 
 
 @pytest.mark.parametrize("family,n,prior", [

@@ -19,6 +19,7 @@ from sievecred import (
     sample_given_k,
     sample_hierarchical,
 )
+from sievecred.basis import DesignGrid
 from sievecred.families import FAMILY_TAGS, Dataset
 from sievecred.inference import MARGINAL_METHODS, _regression_conjugate, route
 from sievecred.mcmc import McmcSettings
@@ -250,6 +251,17 @@ def test_k_posterior_normalized():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("ks", [np.arange(1, 14), np.array([2, 3, 5, 8, 13])])
+def test_set_mass_equals_the_isin_sum(ks):
+    rng = np.random.default_rng(41)
+    kp = KPosterior(ks, rng.dirichlet(np.ones(ks.size)))
+    sets = [set(), set(ks.tolist()), {0, -1, 14, 99}]
+    sets += [set(rng.choice(np.arange(-2, 17), size=int(m), replace=False).tolist())
+             for m in rng.integers(1, 12, size=40)]
+    for s in sets:
+        assert kp.set_mass(s) == float(kp.probs[np.isin(kp.ks, list(s))].sum()), s
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -424,6 +436,20 @@ def test_histogram_center_mixture_density(hist_family):
     center = posterior_center(draws, hist_family)
     # both draws are the uniform density, so the mixture is too
     assert np.allclose(center, 1.0, atol=1e-12)
+
+
+def test_regression_reads_one_design_product_per_dataset(monkeypatch, reg500, truth_b1):
+    # the table, the empirical draw and every hierarchical k slice one Phi_K'y
+    sieve = prior_from_config({}, "regression", 500)
+    data = reg500.simulate(truth_b1, 500, seed=12)
+    products = []
+    phi = DesignGrid.phi
+    monkeypatch.setattr(DesignGrid, "phi", lambda self, k: products.append(k) or phi(self, k))
+    table = marginal_table(reg500, sieve, data)
+    sample_given_k(reg500, sieve.conditional, data, mmle(table), 200, seed=2)
+    draws = sample_hierarchical(reg500, sieve, data, 200, seed=3, table=table)
+    assert len(draws.blocks) > 1
+    assert products == [reg500.max_k]
 
 
 def test_laplace_chains_reuse_the_table_fits(monkeypatch, classif500):
