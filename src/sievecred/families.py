@@ -232,10 +232,10 @@ class Regression(_OnDesign):
         return self.truth_embedding(truth) + rng.standard_normal(n)
 
     def _quadratic(self, data: Dataset, k: int):
-        """(Phi_k'y, y'y, -n/2 log 2 pi): with Phi'Phi = n I the log-likelihood is a quadratic in these.
+        """(Phi_k'y, y'y, -n/2 log 2 pi), in which the log-likelihood is a quadratic.
 
-        Phi_K'y for K = `max_k` and y'y are made once per dataset; Phi_k'y is
-        the first k entries of Phi_K'y.
+        With Phi'Phi = n I nothing else of y enters. Phi_K'y for K = `max_k`
+        and y'y are made once per dataset; Phi_k'y is the first k entries.
         """
 
         def compute():
@@ -265,14 +265,13 @@ class Regression(_OnDesign):
         return derivs
 
     def _coefficients(self, truth: TruthSpec):
-        """(a, r_K): a = Phi_K'f0/n for K = `max_k`, and r_K = |f0 - Phi_K a|^2/n, once per truth."""
+        """(a, r_K), once per truth: a = Phi_K'f0/n for K = `max_k`, r_K = |f0 - Phi_K a|^2/n."""
 
         def compute():
             f0 = self.truth_embedding(truth)
             phi = self.design.phi(self.max_k)
             a = phi.T @ f0 / self.n
             r = f0 - phi @ a
-            a.flags.writeable = False  # every k shares it
             return a, float(r @ r) / self.n
 
         return self._per_truth(truth, "coefficients", compute)
