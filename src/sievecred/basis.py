@@ -5,16 +5,18 @@ log-linear model requires. On the midpoint design x_i = (i - 1/2)/n both are
 also orthonormal in the empirical inner product (discrete Fourier and cosine
 orthogonality), as long as every frequency sum stays below the period: twice
 the highest frequency 2 ceil(k/2) < n for the trigonometric basis, k < n for
-the cosine one. Under that condition, checked when a design is built, the
-Gram matrix Phi_k' Phi_k is n I, and regression uses it in closed form.
+the cosine one (`design_dimension`). Under that condition the Gram matrix
+Phi_k' Phi_k is n I, and regression uses it in closed form.
 
 Long series sum_j c_j phi_j are summed by FFT, on a grid (`eval_series_grid`)
 or a Gauss rule (`eval_series_rule`); `eval_series` is the tests' reference.
+Its adjoint Phi_k'v on a grid is one rfft (`project_grid`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +63,23 @@ def eval_series(x, coefficients, tag: str = "trigonometric", chunk: int = 512) -
     return total
 
 
+@lru_cache(maxsize=8)
+def _fft_modes(k: int, N: int, shift: float, tag: str):
+    """(m mod 2N, w exp(i pi m shift/N)) of phi_1 .. phi_k, read-only; see `eval_series_grid`."""
+    j = np.arange(1, k + 1)
+    if tag == "trigonometric":
+        m, w = 2 * ((j + 1) // 2), np.where(j % 2 == 1, 1.0, -1j)
+    elif tag == "cosine":
+        m, w = j, np.ones(k, complex)
+    else:
+        raise ValueError(f"unknown basis tag {tag!r}")
+    # the phase uses m before folding; its angle is reduced mod 2 pi exactly
+    w = w * np.exp(1j * np.pi * np.mod(m * shift, 2 * N) / N)
+    m = m % (2 * N)
+    m.flags.writeable = w.flags.writeable = False
+    return m, w
+
+
 def eval_series_grid(coefficients, N: int, shift: float = 0.0, count: int | None = None,
                      tag: str = "trigonometric") -> np.ndarray:
     """`eval_series` at x_i = (i + shift)/N for i < count <= 2N, by one FFT of length 2N.
@@ -75,22 +94,24 @@ def eval_series_grid(coefficients, N: int, shift: float = 0.0, count: int | None
     count = N if count is None else count
     if N < 1 or not 1 <= count <= 2 * N:
         raise ValueError(f"need N >= 1 and 1 <= count <= 2N, got N={N}, count={count}")
-    j = np.arange(1, c.size + 1)
-    if tag == "trigonometric":
-        m = 2 * ((j + 1) // 2)
-        weighted = np.where(j % 2 == 1, c, -1j * c)
-    elif tag == "cosine":
-        m = j
-        weighted = c.astype(complex)
-    else:
-        raise ValueError(f"unknown basis tag {tag!r}")
-    # the phase uses m before folding; its angle is reduced mod 2 pi exactly
-    weighted = weighted * np.exp(1j * np.pi * np.mod(m * shift, 2 * N) / N)
-    folded = m % (2 * N)
+    folded, w = _fft_modes(c.size, N, shift, tag)
+    weighted = w * c
     spectrum = np.bincount(folded, weighted.real, 2 * N) + 1j * np.bincount(
         folded, weighted.imag, 2 * N
     )
     return np.sqrt(2.0) * np.fft.ifft(spectrum, norm="forward").real[:count]
+
+
+def project_grid(values, k: int, N: int, shift: float = 0.0,
+                 tag: str = "trigonometric") -> np.ndarray:
+    """Phi_k'v for v at x_i = (i + shift)/N, i < len(v) <= 2N: the adjoint of `eval_series_grid`.
+
+    Entry j is sqrt(2) Re(w S(m)), S(m) = sum_i v_i exp(2 pi i m i/(2N)), which
+    is conj(F[m mod 2N]) for the rfft F of length 2N. F holds m mod 2N <= N,
+    which every k <= `design_dimension(N)` meets; another mode raises IndexError.
+    """
+    folded, w = _fft_modes(k, N, shift, tag)
+    return np.sqrt(2.0) * (w * np.fft.rfft(values, 2 * N)[folded].conj()).real
 
 
 def eval_series_rule(coefficients, rule, tag: str = "trigonometric") -> np.ndarray:
@@ -108,31 +129,15 @@ class DesignGrid:
     k_design: int
     _phi: np.ndarray = field(repr=False)
 
-    @property
-    def n(self) -> int:
-        return self.points.size
-
-    def check_k(self, k: int) -> int:
-        """k, if the design is built for it; raises ValueError otherwise."""
-        if k > self.k_design:
-            raise ValueError(
-                f"k={k} exceeds the orthonormal design range k <= {self.k_design}"
-            )
-        return k
-
     def phi(self, k: int) -> np.ndarray:
-        return self._phi[:, : self.check_k(k)]
+        return self._phi[:, : check_dimension(k, self.k_design)]
 
-    def series(self, coefficients) -> np.ndarray:
-        """sum_j c_j phi_j at the design points.
 
-        A series that fits the design is the product Phi_k c, the one
-        `center_embedding` uses. A longer one is summed by FFT.
-        """
-        c = np.asarray(coefficients, dtype=float)
-        if c.size <= self.k_design:
-            return self.phi(c.size) @ c
-        return eval_series_grid(c, self.n, 0.5, tag=self.basis_tag)
+def check_dimension(k: int, k_max: int) -> int:
+    """k, if k <= k_max, the largest orthonormal dimension; raises ValueError otherwise."""
+    if k > k_max:
+        raise ValueError(f"k={k} exceeds the orthonormal design range k <= {k_max}")
+    return k
 
 
 def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int = DESIGN_K_MAX) -> int:

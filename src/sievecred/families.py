@@ -10,18 +10,19 @@ smooth families. Log-linear and classification embed theta rows through one
 shared; the histogram computes its center, draw distances and bias per bin.
 Density families (histogram, log-linear) share a fixed quadrature grid and
 embed the truth from its series on it; design families (regression,
-classification) are bound to a midpoint design of size n, on which
-Phi_k' Phi_k = n I, so regression is a Gaussian sequence model. Each
-truth series is summed by FFT (`eval_series_grid`, `eval_series_rule`). What
-depends only on the truth (its design embedding or node series, CDF table,
-normalizer, histogram cell integrals, regression coefficients Phi_K' f0 / n
-and residual) is computed once per truth and kept in the family's memo; what
-depends only on one dataset (the sufficient statistics, Phi_K' y and y'y for
-regression and column sums for log-linear, and the Laplace fits of
-`inference`) is computed once per dataset and kept in the dataset's memo, and
-each k reads a slice of it; and each block's embedding rows are computed
-once per set of draws and kept in the draws' memo, so a center and its draw
-distances share them.
+classification) observe at the n midpoints x_i = (i - 1/2)/n, on which
+Phi_k' Phi_k = n I, so regression is a Gaussian sequence model. Only
+classification builds a design: regression's products with Phi are FFTs
+(`project_grid`, `eval_series_grid`), as is every truth series (and
+`eval_series_rule`). What depends only on the truth (its design or node
+series, CDF table, normalizer, histogram cell integrals, regression
+coefficients Phi_K' f0 / n and residual) is computed once per truth and
+kept in the family's memo; what depends only on one dataset (the sufficient
+statistics, Phi_K' y and y'y for regression and column sums for log-linear,
+and the Laplace fits of `inference`) is computed once per dataset and kept
+in the dataset's memo, and each k reads a slice of it; and each block's
+embedding rows are computed once per set of draws and kept in the draws'
+memo, so a center and its draw distances share them.
 """
 
 from __future__ import annotations
@@ -29,17 +30,18 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .basis import (
-    DesignGrid,
+    DESIGN_K_MAX,
     basis_matrix,
+    check_dimension,
     design_dimension,
     eval_series_grid,
     eval_series_rule,
     midpoint_design,
+    project_grid,
 )
 from .metrics import SemiMetric, hellinger_hist_vs_cells, hist_cell_integrals
 from .optimize import damped_newton
@@ -48,6 +50,7 @@ from .truths import TruthSpec
 
 FAMILY_TAGS = ("regression", "histogram", "loglinear", "classification")
 SMOOTH_FAMILY_TAGS = ("regression", "loglinear", "classification")  # those with `loglik_derivs`
+DESIGN_FAMILY_TAGS = ("regression", "classification")  # observed at x_i = (i - 1/2)/n
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -68,7 +71,6 @@ class Dataset(Memo):
 
     family_tag: str
     y: np.ndarray
-    design: Optional[DesignGrid]
     n: int
     _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -79,7 +81,8 @@ class Dataset(Memo):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y"])
-            xs = self.design.points if self.design is not None else [""] * self.n
+            design = self.family_tag in DESIGN_FAMILY_TAGS
+            xs = (np.arange(self.n) + 0.5) / self.n if design else [""] * self.n
             for x, y in zip(xs, self.y):
                 writer.writerow([x if x == "" else repr(float(x)), repr(float(y))])
 
@@ -114,8 +117,6 @@ def _maximize(derivs, x0, n: int = 1) -> np.ndarray:
 
 
 class _Family(Memo):
-    design: Optional[DesignGrid] = None
-
     def __init__(self):
         self._memo: dict = {}
 
@@ -126,27 +127,15 @@ class _Family(Memo):
     def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
         if truth.family_tag != self.tag:
             raise ValueError(f"truth is for family {truth.family_tag!r}, not {self.tag!r}")
-        if self.design is not None and n != self.n:
+        if self.tag in DESIGN_FAMILY_TAGS and n != self.n:
             raise ValueError(f"family was built for n={self.n}, got {n}")
         y = self._draw(truth, n, np.random.default_rng(seed))
-        return Dataset(self.tag, y, self.design, n)
+        return Dataset(self.tag, y, n)
 
     def log_likelihood(self, theta, data: Dataset) -> float:
         """log-likelihood of one parameter vector, through the batched `loglik`."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         return float(self.loglik(data, theta.size)(theta[None, :])[0])
-
-
-class _OnDesign(_Family):
-    """A family bound to a fixed design of size n."""
-
-    @property
-    def n(self) -> int:
-        return self.design.n
-
-    @property
-    def max_k(self) -> int:
-        return self.design.k_design
 
 
 class _RowEmbedded(_Family):
@@ -215,21 +204,28 @@ class _Density(_RowEmbedded):
         return SemiMetric("hellinger", weights=self.rule.weights)
 
 
-class Regression(_OnDesign):
-    """Fixed-design Gaussian regression, unit noise, on a midpoint design: Phi_k' Phi_k = n I."""
+class Regression(_Family):
+    """Fixed-design Gaussian regression, unit noise, on the midpoint design: Phi_k' Phi_k = n I."""
 
     tag = "regression"
 
     def __init__(self, n: int, basis_tag: str = "trigonometric"):
         super().__init__()
-        self.design = midpoint_design(n, basis_tag)
+        self.n = n
         self.basis_tag = basis_tag
+        self.max_k = design_dimension(n, basis_tag, n)
+        if self.max_k < 1:
+            raise ValueError(f"no {basis_tag} basis function is orthonormal on n={n} midpoints")
 
-    def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
-        return self._per_truth(truth, "design", lambda: self.design.series(truth.coefficients))
+    def _series(self, coefficients) -> np.ndarray:
+        """sum_j c_j phi_j at the design points."""
+        return eval_series_grid(coefficients, self.n, 0.5, tag=self.basis_tag)
+
+    def _truth_series(self, truth: TruthSpec) -> np.ndarray:
+        return self._per_truth(truth, "series", lambda: self._series(truth.coefficients))
 
     def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
-        return self.truth_embedding(truth) + rng.standard_normal(n)
+        return self._truth_series(truth) + rng.standard_normal(n)
 
     def _quadratic(self, data: Dataset, k: int):
         """(Phi_k'y, y'y, -n/2 log 2 pi), in which the log-likelihood is a quadratic.
@@ -239,12 +235,12 @@ class Regression(_OnDesign):
         """
 
         def compute():
-            phi_y = self.design.phi(self.max_k).T @ data.y
+            phi_y = project_grid(data.y, self.max_k, self.n, 0.5, self.basis_tag)
             phi_y.flags.writeable = False  # every k shares it
             return phi_y, float(data.y @ data.y)
 
         phi_y, yy = data.once(("quadratic", self.tag, self.basis_tag), compute)
-        return phi_y[: self.design.check_k(k)], yy, -0.5 * data.n * _LOG2PI
+        return phi_y[: check_dimension(k, self.max_k)], yy, -0.5 * data.n * _LOG2PI
 
     def loglik(self, data: Dataset, k: int):
         phi_y, yy, const = self._quadratic(data, k)
@@ -265,29 +261,45 @@ class Regression(_OnDesign):
         return derivs
 
     def _coefficients(self, truth: TruthSpec):
-        """(a, r_K), once per truth: a = Phi_K'f0/n for K = `max_k`, r_K = |f0 - Phi_K a|^2/n."""
+        """(a, r_K), once per truth: a = Phi_K'f0/n for K = `max_k`, r_K = |f0 - Phi_K a|^2/n.
+
+        r_K is summed from the residual: s - |a|^2, s = |f0|^2/n, cancels below
+        zero at large n. A truth no longer than K is its own projection.
+        """
 
         def compute():
-            f0 = self.truth_embedding(truth)
-            phi = self.design.phi(self.max_k)
-            a = phi.T @ f0 / self.n
-            r = f0 - phi @ a
+            theta0 = truth.coefficients
+            if theta0.size <= self.max_k:
+                return np.pad(theta0, (0, self.max_k - theta0.size)), 0.0
+            f0 = self._truth_series(truth)
+            a = project_grid(f0, self.max_k, self.n, 0.5, self.basis_tag) / self.n
+            r = f0 - self._series(a)
             return a, float(r @ r) / self.n
 
         return self._per_truth(truth, "coefficients", compute)
 
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
         """The first k entries of a = Phi_K'f0/n."""
-        return self._coefficients(truth)[0][: self.design.check_k(k)].copy()
+        return self._coefficients(truth)[0][: check_dimension(k, self.max_k)].copy()
 
     def bias_sq(self, truth: TruthSpec, k: int) -> float:
         """|f0 - Phi_k a_k|^2/n = r_K + sum_{k<j<=K} a_j^2, as the columns are orthogonal."""
         a, r_K = self._coefficients(truth)
-        tail = a[self.design.check_k(k):]
+        tail = a[check_dimension(k, self.max_k):]
         return r_K + float(tail @ tail)
 
+    def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
+        """(a, sqrt(r_K)): its `l2` distance to `center_embedding(c)` is |f0 - Phi c|_n,
+        as the residual f0 - Phi_K a is orthogonal to every column."""
+
+        def compute():
+            a, r_K = self._coefficients(truth)
+            return np.append(a, np.sqrt(r_K))
+
+        return self._per_truth(truth, "embedding", compute)
+
     def metric(self) -> SemiMetric:
-        return SemiMetric("empirical_l2")
+        return SemiMetric("l2")
 
     def center(self, draws) -> np.ndarray:
         k_max = max(draws.blocks)
@@ -300,7 +312,10 @@ class Regression(_OnDesign):
         return acc / total
 
     def center_embedding(self, center: np.ndarray) -> np.ndarray:
-        return self.design.phi(center.size) @ center
+        """(c, 0 ... 0), as long as `truth_embedding`."""
+        embedding = np.zeros(self.max_k + 1)
+        embedding[: check_dimension(center.size, self.max_k)] = center
+        return embedding
 
     def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
         """The Euclidean norm of each draw minus the center, both padded with zeros."""
@@ -489,8 +504,8 @@ class LogLinear(_Density):
         return np.exp(g - m - np.log(z)[:, None])
 
 
-class Classification(_RowEmbedded, _OnDesign):
-    """Fixed-design binary responses with the logistic link."""
+class Classification(_RowEmbedded):
+    """Fixed-design binary responses with the logistic link, on a midpoint design."""
 
     tag = "classification"
 
@@ -498,10 +513,11 @@ class Classification(_RowEmbedded, _OnDesign):
         super().__init__()
         self.design = midpoint_design(n, basis_tag)
         self.basis_tag = basis_tag
+        self.n, self.max_k = n, self.design.k_design
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
         return self._per_truth(truth, "design", lambda: _logistic(
-            self.design.series(truth.coefficients)
+            eval_series_grid(truth.coefficients, self.n, 0.5, tag=self.basis_tag)
         ))
 
     def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
@@ -537,7 +553,7 @@ class Classification(_RowEmbedded, _OnDesign):
         It maximizes the expected log-likelihood, which is the log-likelihood
         of the fractional responses y_i = q_0(x_i).
         """
-        expected = Dataset(self.tag, self.truth_embedding(truth), self.design, self.n)
+        expected = Dataset(self.tag, self.truth_embedding(truth), self.n)
         return _maximize(self.loglik_derivs(expected, k), np.zeros(k), self.n)
 
     def metric(self) -> SemiMetric:
@@ -549,8 +565,8 @@ class Classification(_RowEmbedded, _OnDesign):
 
 def max_dimension(tag: str, n: int, basis_tag: str = "trigonometric") -> int:
     """The `max_k` of `make_family(tag, n, basis_tag)`, found without building a design."""
-    if tag in ("regression", "classification"):
-        return design_dimension(n, basis_tag)
+    if tag in DESIGN_FAMILY_TAGS:
+        return design_dimension(n, basis_tag, n if tag == "regression" else DESIGN_K_MAX)
     return _Density.max_k
 
 

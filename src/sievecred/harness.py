@@ -105,6 +105,7 @@ class ExperimentConfig:
                 (self.basis in BASIS_TAGS, f"unknown basis {self.basis!r}"),
                 (self.mode in ("hierarchical", "empirical", "both"), f"unknown mode {self.mode!r}"),
                 (self.replicates >= 1, "replicates must be >= 1"),
+                (self.seed >= 0, "seed must be >= 0"),
                 (self.draws >= 1, "draws must be >= 1"),
                 (self.threads >= 1, "threads must be >= 1"),
                 (len(self.n_grid) > 0, "n_grid must not be empty"),

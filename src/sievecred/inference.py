@@ -2,7 +2,7 @@
 
 Exact routes: Gaussian linear-model evidence for regression with a gaussian
 product prior, in closed form on the orthonormal midpoint design (a posterior
-N(b/p, I/p) given k), and the Dirichlet-multinomial formula for histograms.
+N(b/p, I/p) given k, b = Phi_k'y), and the Dirichlet-multinomial formula for histograms.
 Everything else goes through a Laplace approximation at the posterior mode,
 optionally corrected by importance sampling with the Laplace Gaussian as
 proposal; regression can take either, to check it against the exact evidence.
@@ -13,7 +13,7 @@ one dataset is made once and kept in the dataset's memo: each Laplace fit,
 once per prior and k, so the evidence table, the importance route and every
 chain share its mode and Cholesky factor; and on the conjugate route the
 regression statistic (Phi_K'y, y'y), so the table and every k the samplers
-visit slice one product.
+visit slice one FFT product.
 """
 
 from __future__ import annotations

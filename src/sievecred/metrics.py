@@ -2,7 +2,7 @@
 
 Three kinds are supported:
 
-  empirical_l2         -- root mean square difference over design points
+  l2                   -- Euclidean distance between coefficient embeddings
   hellinger            -- Hellinger distance between densities on a quadrature grid
   empirical_hellinger  -- averaged per-point Bernoulli Hellinger over design points
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-METRIC_KINDS = ("empirical_l2", "hellinger", "empirical_hellinger")
+METRIC_KINDS = ("l2", "hellinger", "empirical_hellinger")
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class SemiMetric:
         """Distance from each row of `rows` to `point`."""
         rows = np.asarray(rows, dtype=float)
         point = np.asarray(point, dtype=float)
-        if self.kind == "empirical_l2":
-            d2 = np.mean((rows - point) ** 2, axis=-1)
+        if self.kind == "l2":
+            d2 = np.sum((rows - point) ** 2, axis=-1)
         elif self.kind == "hellinger":
             if self.weights is None:
                 raise ValueError("hellinger metric requires quadrature weights")

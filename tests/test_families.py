@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from sievecred import gauss_legendre_rule, generate_truth, make_family
-from sievecred.basis import basis_matrix, eval_series
+from sievecred.basis import basis_matrix, eval_series, eval_series_grid, midpoint_design
 from sievecred.families import Dataset, _logistic, _softplus, max_dimension
 from sievecred.inference import PosteriorDraws, posterior_center
 
@@ -80,7 +80,7 @@ def test_histogram_uniform_theta_gives_zero_loglik(hist_family):
 
 
 def test_histogram_zero_cell_sentinel(hist_family):
-    data = Dataset("histogram", np.array([0.1, 0.6]), None, 2)
+    data = Dataset("histogram", np.array([0.1, 0.6]), 2)
     assert hist_family.log_likelihood(np.array([0.0, 1.0]), data) == -np.inf
 
 
@@ -102,15 +102,15 @@ def test_regression_loglik_matches_normal_density():
     truth = generate_truth("explicit", beta=1.0, coefficients=[0.4, -0.1])
     data = fam.simulate(truth, 5, seed=21)
     theta = np.array([0.7])
-    direct = norm.logpdf(data.y, loc=fam.design.phi(1)[:, 0] * 0.7, scale=1.0).sum()
+    direct = norm.logpdf(data.y, loc=midpoint_design(5).phi(1)[:, 0] * 0.7, scale=1.0).sum()
     assert fam.log_likelihood(theta, data) == pytest.approx(direct, abs=1e-10)
 
 
 def test_density_families_loglik_additive(hist_family, loglin_family):
     truth_h = generate_truth("self_similar", beta=1.0, seed=3, family_tag="histogram")
     data = hist_family.simulate(truth_h, 40, seed=6)
-    first = Dataset("histogram", data.y[:25], None, 25)
-    second = Dataset("histogram", data.y[25:], None, 15)
+    first = Dataset("histogram", data.y[:25], 25)
+    second = Dataset("histogram", data.y[25:], 15)
     theta = np.array([0.2, 0.3, 0.5])
     whole = hist_family.log_likelihood(theta, data)
     assert whole == pytest.approx(
@@ -119,8 +119,8 @@ def test_density_families_loglik_additive(hist_family, loglin_family):
 
     truth_l = generate_truth("self_similar", beta=1.0, seed=3, family_tag="loglinear")
     data = loglin_family.simulate(truth_l, 40, seed=6)
-    first = Dataset("loglinear", data.y[:25], None, 25)
-    second = Dataset("loglinear", data.y[25:], None, 15)
+    first = Dataset("loglinear", data.y[:25], 25)
+    second = Dataset("loglinear", data.y[25:], 15)
     theta = np.array([0.4, 0.2])
     assert loglin_family.log_likelihood(theta, data) == pytest.approx(
         loglin_family.log_likelihood(theta, first) + loglin_family.log_likelihood(theta, second),
@@ -141,11 +141,12 @@ def test_classification_loglik_additive_over_points(classif500):
 def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):
     # l(theta) - l(theta') = -(n/2) d_n^2(theta, theta') + residual cross term
     data = reg500.simulate(truth_b1, 500, seed=31)
+    design = midpoint_design(500)
     for _ in range(5):
         k = int(rng.integers(1, 6))
         theta = rng.standard_normal(k)
         theta_ref = rng.standard_normal(k)
-        phi = reg500.design.phi(k)
+        phi = design.phi(k)
         lhs = reg500.log_likelihood(theta, data) - reg500.log_likelihood(theta_ref, data)
         d2 = np.mean((phi @ (theta - theta_ref)) ** 2)
         cross = float((data.y - phi @ theta_ref) @ (phi @ (theta - theta_ref)))
@@ -223,11 +224,12 @@ def test_regression_dataset_product_matches_the_per_k_product(basis, n):
     fam = make_family("regression", n=n, basis_tag=basis)
     truth = generate_truth("self_similar", beta=1.0, seed=11, basis_tag=basis)
     data = fam.simulate(truth, n, seed=4)
+    design = midpoint_design(n, basis)
     bound = 1e-14 * np.linalg.norm(data.y) * np.sqrt(n)
-    for k in range(1, fam.max_k + 1):
+    for k in range(1, design.k_design + 1):
         phi_y, yy, _ = fam._quadratic(data, k)
         assert phi_y.shape == (k,)
-        assert np.max(np.abs(fam.design.phi(k).T @ data.y - phi_y)) <= bound, k
+        assert np.max(np.abs(design.phi(k).T @ data.y - phi_y)) <= bound, k
         assert yy == float(data.y @ data.y)
 
 
@@ -236,18 +238,33 @@ def test_regression_dataset_product_matches_the_per_k_product(basis, n):
 def test_regression_coefficient_bias_matches_the_design_residual(basis, n):
     # b(k) = r_K + sum_{k<j<=K} a_j^2 against |f0 - Phi_k Phi_k'f0/n|^2/n on the design
     fam = make_family("regression", n=n, basis_tag=basis)
+    design = midpoint_design(n, basis)
     for truth in (generate_truth("self_similar", beta=1.0, seed=11, basis_tag=basis),
                   generate_truth("explicit", beta=1.0, coefficients=[0.5, -0.3, 0.2],
                                  basis_tag=basis)):
-        f0 = fam.truth_embedding(truth)
+        f0 = eval_series_grid(truth.coefficients, n, 0.5, tag=basis)
         bound = 1e-14 * np.linalg.norm(f0) * np.sqrt(n) / n
-        for k in range(1, fam.max_k + 1):
-            phi = fam.design.phi(k)
+        for k in range(1, design.k_design + 1):
+            phi = design.phi(k)
             a = phi.T @ f0 / n
             r = f0 - phi @ a
             case = (truth.generator_tag, k)
             assert abs(fam.bias_sq(truth, k) - float(r @ r) / n) <= 4e-15, case
             assert np.max(np.abs(fam.project(truth, k) - a)) <= bound, case
+
+
+@pytest.mark.parametrize("basis", ["trigonometric", "cosine"])
+def test_regression_short_truth_is_its_own_projection(basis):
+    # a truth no longer than max_k lies in the model: a = theta_0 padded and r_K = 0, exactly
+    fam = make_family("regression", n=40, basis_tag=basis)
+    for coefficients in ([0.5], [0.5, -0.3, 0.2], np.linspace(1.0, -1.0, fam.max_k)):
+        truth = generate_truth("explicit", beta=1.0, coefficients=coefficients, basis_tag=basis)
+        size = len(coefficients)
+        a, r_K = fam._coefficients(truth)
+        assert a.shape == (fam.max_k,) and np.array_equal(a[:size], coefficients)
+        assert not a[size:].any()
+        assert r_K == 0.0 and fam.bias_sq(truth, size) == 0.0
+        assert np.array_equal(fam.truth_embedding(truth), fam.center_embedding(truth.coefficients))
 
 
 def test_histogram_projection_uniform(hist_family):
@@ -350,7 +367,7 @@ def test_bias_equals_metric_distance_to_projection(reg500, loglin_family, classi
         k = 4
         theta = fam.project(truth, k)
         if fam.tag == "regression":
-            emb = fam.design.phi(k) @ theta
+            emb = fam.center_embedding(theta)
         else:
             emb = fam.embedding_rows(theta[None, :], k)[0]
         d2 = fam.metric().distance(fam.truth_embedding(truth), emb) ** 2
@@ -405,7 +422,7 @@ def test_loglinear_suff_stats_are_basis_column_sums(loglin_family, n):
     ks = range(1, loglin_family.max_k + 1)
     expected = {k: basis_matrix(y, k).sum(axis=0) for k in ks}
     for order in (ks, reversed(ks)):
-        data = Dataset("loglinear", y, None, n)
+        data = Dataset("loglinear", y, n)
         for k in order:
             assert np.array_equal(loglin_family.suff_stats(data, k), expected[k]), k
 

@@ -73,6 +73,7 @@ def test_config_validation():
         {"prior": {"conditional": {"kind": "laplace"}}},
         {"prior": {"conditional": {"kind": "gaussian", "location": 0.5}}},
         {"L_grid": (-1.0,)},
+        {"seed": -1},
         # pairings with no route, and prior values the prior rejects
         {"family": "histogram", "prior": {"conditional": {"kind": "gaussian"}}},
         {"family": "classification", "prior": {"conditional": {"kind": "dirichlet"}}},
@@ -132,7 +133,8 @@ def test_coverage_report_is_strict_json(tmp_path):
 
 
 @pytest.mark.parametrize("family,n,prior", [
-    ("regression", 40000, {}),
+    # the largest orthonormal dimension: n // 2 for the trigonometric basis, n - 1 for the cosine
+    ("regression", 200, {"k_cap": 101}),
     ("regression", 3, {}),
     ("classification", 2000, {"k_cap": 65}),
     ("loglinear", 2000, {"k_cap": 129}),
@@ -150,6 +152,15 @@ def test_k_cap_beyond_the_family_fails_before_any_replicate(monkeypatch, family,
     assert ran == []
 
 
+@pytest.mark.parametrize("n", [40000, 1_000_000])
+def test_regression_beyond_the_classification_design_cap_runs(n):
+    # regression builds no design, so only orthonormality bounds its dimension
+    rows = run_coverage(ExperimentConfig(n_grid=(n,), replicates=2, draws=50,
+                                         L_grid=(2.0,))).rows
+    assert len(rows) == 4 and {row["n"] for row in rows} == {n}
+    assert all(row["d_truth_center"] > 0 and row["r_alpha"] > 0 for row in rows)
+
+
 def test_k_cap_beyond_the_family_at_a_later_n_fails_before_any_replicate(monkeypatch):
     ran, built = [], []
     run_replicate, make_family = harness._run_replicate, harness.make_family
@@ -158,9 +169,9 @@ def test_k_cap_beyond_the_family_at_a_later_n_fails_before_any_replicate(monkeyp
     monkeypatch.setattr(harness, "make_family",
                         lambda *args, **kw: built.append(args) or make_family(*args, **kw))
     with pytest.raises(ValueError, match="invalid config: k_cap 70 exceeds the largest "
-                                         "dimension 64 of regression at n=40000"):
-        run_coverage(ExperimentConfig(family="regression", n_grid=(2000, 40000), replicates=3,
-                                      draws=10))
+                                         "dimension 64 of classification at n=40000"):
+        run_coverage(ExperimentConfig(family="classification", n_grid=(2000, 40000),
+                                      replicates=3, draws=10))
     assert ran == [] and built == []
 
 
@@ -432,8 +443,8 @@ def test_cli_commands_work_on_replicate_one(tmp_path, capsys):
     (["--tau", "1.5"], "tau must lie in"),
     (["--r0", "1"], "r0 must be"),
     (["--k0", "0"], "k0 must be"),
-    (["--k-max", "0"], "--k-max 0 must lie in 1..64"),
-    (["--k-max", "100"], "--k-max 100 must lie in 1..64"),
+    (["--k-max", "0"], "--k-max 0 must lie in 1..150"),
+    (["--k-max", "151"], "--k-max 151 must lie in 1..150"),
 ])
 def test_cli_bias_rejects_bad_flags_before_any_profile(monkeypatch, tmp_path, flags, message):
     profiled = []
@@ -445,9 +456,9 @@ def test_cli_bias_rejects_bad_flags_before_any_profile(monkeypatch, tmp_path, fl
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--k", "0"], "--k 0 must lie in 1..64"),
-    (["--k", "-1"], "--k -1 must lie in 1..64"),
-    (["--k", "80"], "--k 80 must lie in 1..64"),
+    (["--k", "0"], "--k 0 must lie in 1..100"),
+    (["--k", "-1"], "--k -1 must lie in 1..100"),
+    (["--k", "101"], "--k 101 must lie in 1..100"),
     (["--count", "0"], "draws must be >= 1"),
     (["--count", "-5"], "draws must be >= 1"),
     (["--k", "2", "--count", "0"], "draws must be >= 1"),
@@ -461,6 +472,12 @@ def test_cli_posterior_rejects_bad_flags_before_any_sampler(monkeypatch, tmp_pat
         cli_main(["posterior", "--family", "regression", "--n", "200", *flags,
                   "--out-dir", str(tmp_path)])
     assert sampled == []
+
+
+@pytest.mark.parametrize("command", ["mmle", "simulate", "credible"])
+def test_cli_rejects_a_negative_seed(tmp_path, command):
+    with pytest.raises(ValueError, match="invalid config: seed must be >= 0"):
+        cli_main([command, "--n", "200", "--seed", "-3", "--out-dir", str(tmp_path)])
 
 
 def test_cli_bias_tail_flags_reach_the_check(tmp_path, capsys):

@@ -19,7 +19,8 @@ from sievecred import (
     sample_given_k,
     sample_hierarchical,
 )
-from sievecred.basis import DesignGrid
+import sievecred.families as families
+from sievecred.basis import midpoint_design
 from sievecred.families import FAMILY_TAGS, Dataset
 from sievecred.inference import MARGINAL_METHODS, _regression_conjugate, route
 from sievecred.mcmc import McmcSettings
@@ -35,10 +36,10 @@ def test_regression_evidence_single_point_closed_form():
     # y ~ N(0, I + phi phi') and m(y) is that normal density at y
     fam = make_family("regression", n=3)
     y = np.array([0.3, -1.2, 0.7])
-    data = Dataset("regression", y, fam.design, 3)
+    data = Dataset("regression", y, 3)
     log_m, method, _ = marginal_likelihood(fam, gaussian_prior(), data, 1)
     assert method == "conjugate"
-    phi = fam.design.phi(1)[:, 0]
+    phi = midpoint_design(3).phi(1)[:, 0]
     cov = np.eye(3) + np.outer(phi, phi)
     dense = -0.5 * (3 * np.log(2 * np.pi) + np.linalg.slogdet(cov)[1] + y @ np.linalg.solve(cov, y))
     assert log_m == pytest.approx(dense, rel=1e-12)
@@ -54,7 +55,7 @@ def test_regression_evidence_single_point_closed_form():
 
 def test_histogram_evidence_closed_form():
     fam = make_family("histogram")
-    data = Dataset("histogram", np.array([0.2, 0.7]), None, 2)
+    data = Dataset("histogram", np.array([0.2, 0.7]), 2)
     log_m, method, _ = marginal_likelihood(fam, dirichlet_prior(1.0), data, 2)
     assert method == "dirichlet"
     assert np.exp(log_m) == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -63,7 +64,7 @@ def test_histogram_evidence_closed_form():
 def test_histogram_evidence_prior_predictive_monte_carlo():
     fam = make_family("histogram")
     rng = np.random.default_rng(7)
-    data = Dataset("histogram", rng.random(12), None, 12)
+    data = Dataset("histogram", rng.random(12), 12)
     k = 3
     log_m, _, _ = marginal_likelihood(fam, dirichlet_prior(1.0), data, k)
     thetas = rng.dirichlet(np.ones(k), size=200_000)
@@ -101,11 +102,12 @@ def test_conjugate_closed_form_is_the_dense_reference(n, truth_b1):
     # against the closed form that takes Phi'Phi = n I
     for basis in ("trigonometric", "cosine"):
         fam = make_family("regression", n=n, basis_tag=basis)
+        design = midpoint_design(n, basis)
         data = fam.simulate(truth_b1, n, seed=21)
         sieve = prior_from_config({}, "regression", n)
         table = marginal_table(fam, sieve, data)
         for k in range(1, sieve.hyper.k_cap + 1):
-            phi = fam.design.phi(k)
+            phi = design.phi(k)
             chol = np.linalg.cholesky(phi.T @ phi + np.eye(k))
             half = np.linalg.solve(chol, phi.T @ data.y)
             log_det = 2.0 * float(np.log(np.diag(chol)).sum())
@@ -272,7 +274,7 @@ def test_conjugate_regression_sampler_matches_closed_form(reg500, truth_b1):
     draws = sample_given_k(reg500, gaussian_prior(), data, k, 40_000, seed=2)
     assert draws.diagnostics["sampler"] == "conjugate"
     # independent closed form
-    phi = reg500.design.phi(k)
+    phi = midpoint_design(500).phi(k)
     prec = phi.T @ phi + np.eye(k)
     mean = np.linalg.solve(prec, phi.T @ data.y)
     cov = np.linalg.inv(prec)
@@ -318,7 +320,7 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     chain, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, 12_000,
                                McmcSettings(burn_in=2000), rng)
     assert 0.05 < diag["acceptance_rate"] < 0.6
-    phi = reg500.design.phi(k)
+    phi = midpoint_design(500).phi(k)
     prec = phi.T @ phi + np.eye(k)
     mean = np.linalg.solve(prec, phi.T @ data.y)
     batches = chain.reshape(20, -1, k).mean(axis=1)
@@ -398,10 +400,10 @@ def test_center_matches_conjugate_mean_function(reg500, truth_b1):
     k = 4
     draws = sample_given_k(reg500, gaussian_prior(), data, k, 60_000, seed=31)
     center = posterior_center(draws, reg500)
-    phi = reg500.design.phi(k)
+    phi = midpoint_design(500).phi(k)
     prec = phi.T @ phi + np.eye(k)
     mean_fn = phi @ np.linalg.solve(prec, phi.T @ data.y)
-    got = reg500.center_embedding(center)
+    got = phi @ center
     mc_sd = float(np.sqrt(np.diag(phi @ np.linalg.inv(prec) @ phi.T)).max() / np.sqrt(60_000))
     assert np.max(np.abs(got - mean_fn)) < 6 * mc_sd
 
@@ -443,8 +445,9 @@ def test_regression_reads_one_design_product_per_dataset(monkeypatch, reg500, tr
     sieve = prior_from_config({}, "regression", 500)
     data = reg500.simulate(truth_b1, 500, seed=12)
     products = []
-    phi = DesignGrid.phi
-    monkeypatch.setattr(DesignGrid, "phi", lambda self, k: products.append(k) or phi(self, k))
+    project = families.project_grid
+    monkeypatch.setattr(families, "project_grid",
+                        lambda v, k, *args: products.append(k) or project(v, k, *args))
     table = marginal_table(reg500, sieve, data)
     sample_given_k(reg500, sieve.conditional, data, mmle(table), 200, seed=2)
     draws = sample_hierarchical(reg500, sieve, data, 200, seed=3, table=table)

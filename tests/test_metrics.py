@@ -8,7 +8,7 @@ from sievecred.metrics import hellinger_hist_vs_cells, hist_cell_integrals
 def _metric_instances(rng):
     dens = lambda: rng.random(512) + 0.05
     return [
-        (SemiMetric("empirical_l2"), lambda: rng.standard_normal(40)),
+        (SemiMetric("l2"), lambda: rng.standard_normal(40)),
         (SemiMetric("hellinger", weights=DEFAULT_RULE.weights), dens),
         (SemiMetric("empirical_hellinger"), lambda: rng.uniform(0.01, 0.99, 40)),
     ]
