@@ -213,7 +213,7 @@ class Regression(_Family):
         super().__init__()
         self.n = n
         self.basis_tag = basis_tag
-        self.max_k = design_dimension(n, basis_tag, n)
+        self.max_k = max_dimension(self.tag, n, basis_tag)
         if self.max_k < 1:
             raise ValueError(f"no {basis_tag} basis function is orthonormal on n={n} midpoints")
 
