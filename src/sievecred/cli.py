@@ -119,9 +119,8 @@ def cmd_posterior(args):
 
 def cmd_credible(args):
     """One harness replicate (replicate 1, data seed `--seed` + 1) at one L: its coverage row."""
-    # no trade-off sets: the row does not report them, so no bias profile is built
     config = _config(args, replicates=1, draws=args.count, mcmc_burn_in=args.burn_in,
-                     alpha=args.alpha, L_grid=(args.L,), mode=args.mode, tradeoff_M=())
+                     alpha=args.alpha, L_grid=(args.L,), mode=args.mode)
     print(json.dumps(run_coverage(config).rows[0]))
     return 0
 

@@ -121,8 +121,8 @@ class _Family(Memo):
         self._memo: dict = {}
 
     def _per_truth(self, truth: TruthSpec, name, compute):
-        """`once` for a quantity of one truth, keyed by its coefficients."""
-        return self.once((truth.coefficients.tobytes(), name), compute)
+        """`once` for a quantity of one truth, keyed by the truth object, which the memo holds."""
+        return self.once((truth, name), compute)
 
     def simulate(self, truth: TruthSpec, n: int, seed: int) -> Dataset:
         if truth.family_tag != self.tag:

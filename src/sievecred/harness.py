@@ -4,6 +4,10 @@ A run fixes one truth (generated from the base seed), simulates `replicates`
 datasets (replicate r uses seed base + r, replicates are 1-based), runs the
 requested inference mode(s) once per replicate, and evaluates coverage for the
 whole inflation grid post hoc from the stored (distance, radius) pairs.
+Whatever the experiment, a replicate records per mode the selected k, the
+radius r_alpha, the distance d and, in hierarchical mode, its k-posterior; the
+trade-off-set localization is computed from those records by `run_diagnostics`
+alone, which builds the bias profile once per n in the parent process.
 Replicates can execute in a process pool; aggregation folds results in
 replicate order so reports are byte-identical for a fixed config and seed.
 """
@@ -17,22 +21,16 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .bias import (
-    BiasProfile,
-    PolishedTailParams,
-    bias_profile,
-    polished_tail_verdict,
-    tradeoff_set,
-)
+from .bias import PolishedTailParams, bias_profile, polished_tail_verdict, tradeoff_set
 from .basis import BASIS_TAGS
 from .credible import credible_radius, wilson_interval
 from .families import FAMILY_TAGS, Dataset, make_family, max_dimension
 from .inference import (
+    KPosterior,
     MarginalLikelihoodTable,
     McmcSettings,
     k_posterior,
@@ -185,7 +183,6 @@ class _Context:
             coefficients=cfg.truth_coefficients or None,
         )
         self.mcmc = McmcSettings(burn_in=cfg.mcmc_burn_in, thin=cfg.mcmc_thin)
-        self._tradeoff: dict[float, set] = {}
 
     def data(self, rep_id: int) -> Dataset:
         """The dataset of replicate `rep_id` (1-based), simulated with seed `seed + rep_id`."""
@@ -200,24 +197,12 @@ class _Context:
         return marginal_table(self.family, self.prior, data, method=self.cfg.marginal_method,
                               seed=self.stream(rep_id, "table"))
 
-    @cached_property
-    def profile(self) -> BiasProfile:
-        return bias_profile(self.truth, self.family, self.prior.hyper.k_cap, self.n)
-
-    def tradeoff(self, M: float) -> set:
-        if M not in self._tradeoff:
-            if self.profile.k_n is None:
-                self._tradeoff[M] = set()
-            else:
-                self._tradeoff[M] = tradeoff_set(self.profile, M)
-        return self._tradeoff[M]
-
-    @cached_property
-    def tail_verdict(self) -> dict:
-        return polished_tail_verdict(self.truth, self.family, self.profile, self.cfg.tail_params)
-
 
 def _run_replicate(ctx: _Context, rep_id: int) -> dict:
+    """Per mode: the selected k, r_alpha, d and the k-posterior over 1..k_cap (None if empirical).
+
+    The k-posterior is a list, not a `KPosterior`: the pool pickles every record.
+    """
     cfg = ctx.cfg
     data = ctx.data(rep_id)
     table = ctx.table(data, rep_id)
@@ -231,7 +216,7 @@ def _run_replicate(ctx: _Context, rep_id: int) -> dict:
                 ctx.family, ctx.prior.conditional, data, k_sel, cfg.draws,
                 ctx.stream(rep_id, "given_k"), mcmc=ctx.mcmc,
             )
-            mass = None
+            probs = None
         else:
             draws = sample_hierarchical(
                 ctx.family, ctx.prior, data, cfg.draws, ctx.stream(rep_id, "hierarchical"),
@@ -239,17 +224,11 @@ def _run_replicate(ctx: _Context, rep_id: int) -> dict:
             )
             kpost = k_posterior(table, ctx.prior.hyper)
             k_sel = kpost.mode()
-            mass = {str(M): kpost.set_mass(ctx.tradeoff(M)) for M in cfg.tradeoff_M}
+            probs = kpost.probs.tolist()
         center = posterior_center(draws, ctx.family)
         r_alpha = credible_radius(draws, center, ctx.family, cfg.alpha)
         d = float(metric.distance(truth_emb, ctx.family.center_embedding(center)))
-        modes_out[mode] = {
-            "k": int(k_sel),
-            "r_alpha": r_alpha,
-            "d": d,
-            "in_K": {str(M): bool(k_sel in ctx.tradeoff(M)) for M in cfg.tradeoff_M},
-            "mass_K": mass,
-        }
+        modes_out[mode] = {"k": int(k_sel), "r_alpha": r_alpha, "d": d, "k_posterior": probs}
     return {"replicate_id": rep_id, "n": ctx.n, "modes": modes_out, "error": None}
 
 
@@ -335,17 +314,10 @@ def _mean_or_none(values):
     return float(np.mean(values)) if values else None
 
 
-def _selection_summary(picked: list, Ms: list) -> dict:
-    """Selected-k histogram and trade-off-set membership over per-replicate mode results."""
-    khist = Counter(m["k"] for m in picked)
-    return {
-        "k_hist": {str(k): khist[k] for k in sorted(khist)},
-        "frac_in_tradeoff": {M: _mean_or_none([m["in_K"][M] for m in picked]) for M in Ms},
-        "mean_mass_in_tradeoff": {
-            M: _mean_or_none([m["mass_K"][M] for m in picked if m["mass_K"] is not None])
-            for M in Ms
-        },
-    }
+def _k_hist(ks) -> dict:
+    """The histogram of the selected k, keyed by str(k) in ascending k."""
+    khist = Counter(ks)
+    return {str(k): khist[k] for k in sorted(khist)}
 
 
 @dataclass
@@ -399,7 +371,6 @@ def _coverage_experiment(op: str, cfg: ExperimentConfig, arms) -> CoverageReport
                     "diameter": 2.0 * m["r_alpha"],
                 })
             rows += arm_rows
-            arm_modes = [r["modes"][mode] for r in picked]
             covered = [row["covered"] for row in arm_rows]
             used = len(covered)
             ci_lo, ci_hi = wilson_interval(int(np.sum(covered)), used)
@@ -415,7 +386,7 @@ def _coverage_experiment(op: str, cfg: ExperimentConfig, arms) -> CoverageReport
                 "diam_q10": float(np.quantile(diam, 0.1)),
                 "diam_q50": float(np.quantile(diam, 0.5)),
                 "diam_q90": float(np.quantile(diam, 0.9)),
-                **_selection_summary(arm_modes, [str(M) for M in cfg.tradeoff_M]),
+                "k_hist": _k_hist(row["k_hat"] for row in arm_rows),
                 "replicates_used": used,
             }
             if label == "negative":
@@ -487,34 +458,55 @@ def run_rate(config: ExperimentConfig) -> dict:
 
 
 def run_diagnostics(config: ExperimentConfig) -> dict:
-    """Model-selection localization and the truth's tail diagnostics."""
+    """Model-selection localization and the truth's tail diagnostics.
+
+    The bias profile, the trade-off sets K_n(M) and the polished-tail verdict are
+    built once per n here; each replicate's membership and k-posterior mass in
+    K_n(M) come from its recorded k and k-posterior.
+    """
     results, errors = _collect_replicates(config)
     cfg_key = config.cache_key()
-    per_n = {}
+    Ms = [str(M) for M in config.tradeoff_M]
+    per_n, sets = {}, {}
     for n in config.n_grid:
         ctx = _context(cfg_key, n)
+        profile = bias_profile(ctx.truth, ctx.family, ctx.prior.hyper.k_cap, n)
+        sets[n] = {str(M): set() if profile.k_n is None else tradeoff_set(profile, M)
+                   for M in config.tradeoff_M}
         per_n[str(n)] = {
-            "k_n": ctx.profile.k_n,
-            "k_n_beyond_range": ctx.profile.beyond_range,
-            "polished_tail": ctx.tail_verdict,
-            "tradeoff_sets": {str(M): sorted(ctx.tradeoff(M)) for M in config.tradeoff_M},
+            "k_n": profile.k_n,
+            "k_n_beyond_range": profile.beyond_range,
+            "polished_tail": polished_tail_verdict(ctx.truth, ctx.family, profile,
+                                                   config.tail_params),
+            "tradeoff_sets": {M: sorted(K) for M, K in sets[n].items()},
         }
-    Ms = [str(M) for M in config.tradeoff_M]
     columns = ["n", "mode", "replicate_id", "k_hat", *(f"in_K_{M}" for M in config.tradeoff_M)]
     rows = [
-        dict(zip(columns, [r["n"], mode, r["replicate_id"], m["k"], *(m["in_K"][M] for M in Ms)]))
+        dict(zip(columns, [r["n"], mode, r["replicate_id"], m["k"],
+                           *(m["k"] in sets[r["n"]][M] for M in Ms)]))
         for r in results
         for mode, m in r["modes"].items()
     ]
-    modes = {
-        mode: _selection_summary([r["modes"][mode] for r in results if mode in r["modes"]], Ms)
-        for mode in dict.fromkeys(row["mode"] for row in rows)
-    }
+
+    def localization(mode: str) -> dict:
+        picked = [(sets[r["n"]], r["modes"][mode]) for r in results if mode in r["modes"]]
+        kposts = [(K, KPosterior(np.arange(1, len(m["k_posterior"]) + 1),
+                                 np.array(m["k_posterior"])))
+                  for K, m in picked if m["k_posterior"] is not None]
+        return {
+            "k_hist": _k_hist(m["k"] for _, m in picked),
+            "frac_in_tradeoff": {M: _mean_or_none([m["k"] in K[M] for K, m in picked])
+                                 for M in Ms},
+            "mean_mass_in_tradeoff": {M: _mean_or_none([kpost.set_mass(K[M])
+                                                        for K, kpost in kposts])
+                                      for M in Ms},
+        }
+
     report = {
         "op": "diagnostics",
         "config": config.to_dict(),
         "per_n": per_n,
-        "modes": modes,
+        "modes": {mode: localization(mode) for mode in dict.fromkeys(row["mode"] for row in rows)},
         "errors": errors,
     }
     if config.out_dir:

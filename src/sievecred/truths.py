@@ -24,8 +24,10 @@ HIST_DENSITY_FLOOR = 0.1
 POSITIVITY_CELLS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthSpec:
+    """A truth's coefficients and provenance; hashed by identity, so families key memos on it."""
+
     coefficients: np.ndarray
     family_tag: str
     beta: float

@@ -134,7 +134,7 @@ def tiny_rows():
     """Coverage rows of one tiny run: both modes, n in {200, 1000}, L from 1/4 to 4."""
     config = ExperimentConfig(family="regression", n_grid=(200, 1000), replicates=4,
                               draws=200, L_grid=(0.25, 0.5, 1.0, 2.0, 4.0), mode="both",
-                              seed=17, tradeoff_M=())
+                              seed=17)
     return run_coverage(config).rows
 
 

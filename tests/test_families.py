@@ -443,3 +443,17 @@ def test_draw_rows_embedded_once_for_center_and_distances(monkeypatch, classif50
     assert np.array_equal(distances, np.concatenate(
         [metric.distances(expected_rows[k], center) for k in (2, 5)]
     ))
+
+
+@pytest.mark.parametrize("tag", ["regression", "histogram", "loglinear", "classification"])
+def test_per_truth_quantities_are_keyed_by_the_truth_object(tag):
+    # a lookup hashes the truth by identity, not by its 4096 coefficients, and the
+    # memo holds the truth, so its id is not reused while the entry lives
+    fam = make_family(tag, n=300)
+    truth = generate_truth("self_similar", beta=1.0, seed=4, family_tag=tag)
+    twin = generate_truth("self_similar", beta=1.0, seed=4, family_tag=tag)
+    assert hash(truth) != hash(twin) and truth != twin
+    embedding = fam.truth_embedding(truth)
+    assert {key[0] for key in fam._memo} == {truth}
+    assert np.array_equal(fam.truth_embedding(twin), embedding)
+    assert {key[0] for key in fam._memo} == {truth, twin}

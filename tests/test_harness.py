@@ -340,6 +340,23 @@ def test_run_diagnostics_fields_and_determinism():
         assert all(0.0 <= v <= 1.0 for v in fracs.values())
 
 
+def test_only_diagnostics_builds_the_bias_profile(monkeypatch):
+    # coverage, negative and rate replicates record k and the k-posterior, never K_n(M)
+    def no_profile(*args):
+        raise AssertionError("bias profile built")
+
+    monkeypatch.setattr(harness, "bias_profile", no_profile)
+    monkeypatch.setattr(harness, "_WORKER_CTX", {})
+    cfg = _tiny_config(replicates=2, draws=100)
+    cell = run_coverage(cfg).cell(mode="hierarchical", L=2.0)
+    assert cell["replicates_used"] == 2 and "frac_in_tradeoff" not in cell
+    assert run_negative(cfg).cell(mode="negative", n=200)["replicates_used"] == 2
+    assert len(run_rate(_tiny_config(n_grid=(100, 200, 400), replicates=2, draws=100,
+                                     mode="empirical"))["points"]) == 3
+    with pytest.raises(AssertionError, match="bias profile built"):
+        run_diagnostics(cfg)
+
+
 def test_run_diagnostics_builds_one_context_per_n(monkeypatch):
     built = []
     init = harness._Context.__init__
@@ -398,8 +415,7 @@ def test_cli_mmle_posterior_credible(tmp_path, capsys):
                          "--out-dir", str(case_dir)]) == 0
         row = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         config = ExperimentConfig(family=family, n_grid=(200,), seed=5, replicates=1,
-                                  draws=150, mcmc_burn_in=100, L_grid=(2.0,), mode=mode,
-                                  tradeoff_M=())
+                                  draws=150, mcmc_burn_in=100, L_grid=(2.0,), mode=mode)
         assert row == run_coverage(config).rows[0]
         assert row["r_alpha"] > 0
         assert row["inflation"] == pytest.approx(2.0 * math.sqrt(math.log(200)))
@@ -480,14 +496,19 @@ def test_cli_rejects_a_negative_seed(tmp_path, command):
         cli_main([command, "--n", "200", "--seed", "-3", "--out-dir", str(tmp_path)])
 
 
+def _diagnostics_tail_verdict(**fields) -> dict:
+    """The polished-tail verdict `run_diagnostics` reports for a one-n config of `fields`."""
+    cfg = ExperimentConfig(n_grid=(2000,), replicates=1, draws=50, mode="empirical", **fields)
+    return run_diagnostics(cfg)["per_n"]["2000"]["polished_tail"]
+
+
 def test_cli_bias_tail_flags_reach_the_check(tmp_path, capsys):
-    # the same verdict as the diagnostics context of the config with these tail values
+    # the same verdict as the diagnostics of the config with these tail values
     flags = ["--n", "2000", "--beta", "0.6", "--r0", "3", "--k0", "3", "--tau", "0.4"]
     assert cli_main(["bias", *flags, "--out-dir", str(tmp_path)]) == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    cfg = ExperimentConfig(beta=0.6, seed=0, n_grid=(2000,), tail_r0=3, tail_k0=3,
-                           tail_tau=0.4)
-    assert summary["polished_tail"] == harness._Context(cfg, 2000).tail_verdict
+    assert summary["polished_tail"] == _diagnostics_tail_verdict(
+        beta=0.6, seed=0, tail_r0=3, tail_k0=3, tail_tau=0.4)
 
 
 def test_cli_bias_extends_profile_for_polished_tail_like_diagnostics(tmp_path, capsys):
@@ -497,5 +518,4 @@ def test_cli_bias_extends_profile_for_polished_tail_like_diagnostics(tmp_path, c
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["k_n"] == 12
     assert summary["polished_tail"] == {"holds": True, "first_violation": None}
-    ctx = harness._Context(ExperimentConfig(beta=0.6, seed=0, n_grid=(2000,)), 2000)
-    assert ctx.tail_verdict == summary["polished_tail"]
+    assert _diagnostics_tail_verdict(beta=0.6, seed=0) == summary["polished_tail"]
