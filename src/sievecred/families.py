@@ -11,14 +11,14 @@ shared; the histogram computes its center, draw distances and bias per bin.
 Density families (histogram, log-linear) share a fixed quadrature grid and
 embed the truth from its series on it; design families (regression,
 classification) observe at the n midpoints x_i = (i - 1/2)/n, on which
-Phi_k' Phi_k = n I, so regression is a Gaussian sequence model. Only
-classification builds a design: regression's products with Phi are FFTs
-(`project_grid`, `eval_series_grid`), as is every truth series (and
-`eval_series_rule`). What depends only on the truth (its design or node
-series, CDF table, normalizer, histogram cell integrals, regression
-coefficients Phi_K' f0 / n and residual) is computed once per truth and
-kept in the family's memo; what depends only on one dataset (the sufficient
-statistics, Phi_K' y and y'y for regression and column sums for log-linear,
+Phi_k' Phi_k = n I, so regression is a Gaussian sequence model, whose dataset
+is the sufficient statistic Z = Phi_K' y / n ~ N(a, I/n). Only classification
+builds a design: regression's a = Phi_K' f0 / n is an FFT (`project_grid`),
+as is every truth series (`eval_series_grid`, `eval_series_rule`). What
+depends only on the truth (its design or node series, CDF table, normalizer,
+histogram cell integrals, regression's a and residual) is computed once per
+truth and kept in the family's memo; what depends only on one dataset (the
+sufficient statistics, |Z|^2 for regression and column sums for log-linear,
 and the Laplace fits of `inference`) is computed once per dataset and kept
 in the dataset's memo, and each k reads a slice of it; and each block's
 embedding rows are computed once per set of draws and kept in the draws'
@@ -78,13 +78,17 @@ class Dataset(Memo):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
     def to_csv(self, path):
+        """Rows (x_i, y_i), x_i blank for a density, or (j, z_j) for regression."""
+        header, firsts = ["x", "y"], [""] * self.n
+        if self.family_tag == "regression":
+            header, firsts = ["j", "z"], range(1, self.y.size + 1)
+        elif self.family_tag in DESIGN_FAMILY_TAGS:
+            firsts = [repr(x) for x in ((np.arange(self.n) + 0.5) / self.n).tolist()]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            design = self.family_tag in DESIGN_FAMILY_TAGS
-            xs = (np.arange(self.n) + 0.5) / self.n if design else [""] * self.n
-            for x, y in zip(xs, self.y):
-                writer.writerow([x if x == "" else repr(float(x)), repr(float(y))])
+            writer.writerow(header)
+            for first, y in zip(firsts, self.y, strict=True):
+                writer.writerow([first, repr(float(y))])
 
 
 def _simplex_check(theta: np.ndarray):
@@ -205,7 +209,10 @@ class _Density(_RowEmbedded):
 
 
 class Regression(_Family):
-    """Fixed-design Gaussian regression, unit noise, on the midpoint design: Phi_k' Phi_k = n I."""
+    """Fixed-design Gaussian regression, unit noise, on the midpoint design: Phi_k' Phi_k = n I.
+
+    Its dataset is Z = Phi_K'y/n ~ N(a, I/n), K = `max_k` values; `Dataset.n` is still n.
+    """
 
     tag = "regression"
 
@@ -217,46 +224,38 @@ class Regression(_Family):
         if self.max_k < 1:
             raise ValueError(f"no {basis_tag} basis function is orthonormal on n={n} midpoints")
 
-    def _series(self, coefficients) -> np.ndarray:
-        """sum_j c_j phi_j at the design points."""
-        return eval_series_grid(coefficients, self.n, 0.5, tag=self.basis_tag)
-
-    def _truth_series(self, truth: TruthSpec) -> np.ndarray:
-        return self._per_truth(truth, "series", lambda: self._series(truth.coefficients))
-
     def _draw(self, truth: TruthSpec, n: int, rng) -> np.ndarray:
-        return self._truth_series(truth) + rng.standard_normal(n)
+        """Z = Phi_K'y/n ~ N(a, I/n), K = `max_k`: the n responses are never drawn."""
+        return self._coefficients(truth)[0] + rng.standard_normal(self.max_k) / np.sqrt(n)
 
     def _quadratic(self, data: Dataset, k: int):
-        """(Phi_k'y, y'y, -n/2 log 2 pi), in which the log-likelihood is a quadratic.
+        """(n Z_k, n|Z|^2, -(K/2) log(2 pi/n)), in which the log-density of Z is a quadratic.
 
-        With Phi'Phi = n I nothing else of y enters. Phi_K'y for K = `max_k`
-        and y'y are made once per dataset; Phi_k'y is the first k entries.
+        It differs from the y-likelihood by a constant free of k and theta, as |y -
+        Phi_k theta|^2 = |y - Phi_K Z|^2 + n|Z - theta|^2. |Z|^2 is made once per dataset.
         """
-
-        def compute():
-            phi_y = project_grid(data.y, self.max_k, self.n, 0.5, self.basis_tag)
-            phi_y.flags.writeable = False  # every k shares it
-            return phi_y, float(data.y @ data.y)
-
-        phi_y, yy = data.once(("quadratic", self.tag, self.basis_tag), compute)
-        return phi_y[: check_dimension(k, self.max_k)], yy, -0.5 * data.n * _LOG2PI
+        z = data.y
+        if z.size != self.max_k:
+            raise ValueError(f"a regression dataset holds Z, {self.max_k} values, not {z.size}")
+        zz = data.once(("zz", self.tag), lambda: float(z @ z))
+        const = -0.5 * self.max_k * (_LOG2PI - np.log(self.n))
+        return self.n * z[: check_dimension(k, self.max_k)], self.n * zz, const
 
     def loglik(self, data: Dataset, k: int):
-        phi_y, yy, const = self._quadratic(data, k)
+        b, zz, const = self._quadratic(data, k)
 
         def loglik(thetas):
             quad = self.n * np.einsum("si,si->s", thetas, thetas)
-            return const - 0.5 * (yy - 2.0 * thetas @ phi_y + quad)
+            return const - 0.5 * (zz - 2.0 * thetas @ b + quad)
 
         return loglik
 
     def loglik_derivs(self, data: Dataset, k: int):
-        phi_y, yy, const = self._quadratic(data, k)
+        b, zz, const = self._quadratic(data, k)
 
         def derivs(theta):
-            value = const - 0.5 * (yy - 2.0 * float(theta @ phi_y) + self.n * float(theta @ theta))
-            return value, phi_y - self.n * theta, -self.n * np.eye(k)
+            value = const - 0.5 * (zz - 2.0 * float(theta @ b) + self.n * float(theta @ theta))
+            return value, b - self.n * theta, -self.n * np.eye(k)
 
         return derivs
 
@@ -271,9 +270,9 @@ class Regression(_Family):
             theta0 = truth.coefficients
             if theta0.size <= self.max_k:
                 return np.pad(theta0, (0, self.max_k - theta0.size)), 0.0
-            f0 = self._truth_series(truth)
+            f0 = eval_series_grid(theta0, self.n, 0.5, tag=self.basis_tag)
             a = project_grid(f0, self.max_k, self.n, 0.5, self.basis_tag) / self.n
-            r = f0 - self._series(a)
+            r = f0 - eval_series_grid(a, self.n, 0.5, tag=self.basis_tag)
             return a, float(r @ r) / self.n
 
         return self._per_truth(truth, "coefficients", compute)

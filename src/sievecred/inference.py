@@ -2,7 +2,7 @@
 
 Exact routes: Gaussian linear-model evidence for regression with a gaussian
 product prior, in closed form on the orthonormal midpoint design (a posterior
-N(b/p, I/p) given k, b = Phi_k'y), and the Dirichlet-multinomial formula for histograms.
+N(b/p, I/p) given k, b = n Z_k), and the Dirichlet-multinomial formula for histograms.
 Everything else goes through a Laplace approximation at the posterior mode,
 optionally corrected by importance sampling with the Laplace Gaussian as
 proposal; regression can take either, to check it against the exact evidence.
@@ -11,9 +11,9 @@ adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian.
 `route` decides which of these a family and prior take. What depends only on
 one dataset is made once and kept in the dataset's memo: each Laplace fit,
 once per prior and k, so the evidence table, the importance route and every
-chain share its mode and Cholesky factor; and on the conjugate route the
-regression statistic (Phi_K'y, y'y), so the table and every k the samplers
-visit slice one FFT product.
+chain share its mode and Cholesky factor. A regression dataset is already its
+sufficient statistic Z = Phi_K'y/n, so the table and every k the samplers
+visit slice Z, with |Z|^2 made once.
 """
 
 from __future__ import annotations
@@ -137,11 +137,11 @@ def _regression_conjugate(family, prior: ConditionalPrior, data: Dataset, k: int
     """Posterior mean, posterior precision p and evidence for the gaussian prior.
 
     With Phi'Phi = n I the posterior given k is N(b/p, I/p), where
-    p = n + 1/tau^2 and b = Phi'y.
+    p = n + 1/tau^2 and b = Phi_k'y = n Z_k.
     """
-    b, yy, const = family._quadratic(data, k)
+    b, zz, const = family._quadratic(data, k)
     p = family.n + 1.0 / prior.scale**2
-    log_m = const - k * np.log(prior.scale) - 0.5 * k * np.log(p) + 0.5 * (float(b @ b) / p - yy)
+    log_m = const - k * np.log(prior.scale) - 0.5 * k * np.log(p) + 0.5 * (float(b @ b) / p - zz)
     return b / p, p, float(log_m)
 
 

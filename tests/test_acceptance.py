@@ -39,6 +39,8 @@ from sievecred.inference import _laplace_fit
 from sievecred.mcmc import McmcSettings, adaptive_rwm
 from sievecred.priors import log_prior_density
 
+from dense_design import responses
+
 BASE_SEED = 20260808
 
 
@@ -52,6 +54,7 @@ def test_criterion_01_conjugate_evidence_vs_quadrature():
     fam = make_family("regression", n=5)
     truth = generate_truth("self_similar", beta=1.0, seed=6)
     data = fam.simulate(truth, 5, seed=8)
+    z, K = data.y, fam.max_k  # the dataset is Z ~ N(theta padded to K, I/5)
     nodes, weights = np.polynomial.legendre.leggauss(240)
     nodes, weights = 8.0 * nodes, 8.0 * weights
     worst = 0.0
@@ -64,8 +67,8 @@ def test_criterion_01_conjugate_evidence_vs_quadrature():
             t1, t2 = np.meshgrid(nodes, nodes, indexing="ij")
             thetas = np.column_stack([t1.ravel(), t2.ravel()])
             wts = np.outer(weights, weights).ravel()
-        resid = data.y[None, :] - thetas @ midpoint_design(5).phi(k).T
-        loglik = -0.5 * 5 * np.log(2 * np.pi) - 0.5 * (resid**2).sum(axis=1)
+        resid = z[None, :] - np.pad(thetas, ((0, 0), (0, K - k)))
+        loglik = -0.5 * K * np.log(2 * np.pi / 5) - 0.5 * 5 * (resid**2).sum(axis=1)
         logpri = (-0.5 * np.log(2 * np.pi) - 0.5 * thetas**2).sum(axis=1)
         oracle = math.log(float(wts @ np.exp(loglik + logpri)))
         worst = max(worst, abs(math.expm1(log_m - oracle)))
@@ -100,14 +103,14 @@ def test_criterion_03_mcmc_and_laplace_validation():
     start = time.monotonic()
     fam = make_family("regression", n=500)
     truth = generate_truth("self_similar", beta=1.0, seed=11)
-    data = fam.simulate(truth, 500, seed=12)
+    y, data = responses(fam, truth, 12)
     k = 4
     prior = gaussian_prior()
 
     # exact posterior for reference
     phi = midpoint_design(500).phi(k)
     prec = phi.T @ phi + np.eye(k)
-    mean = np.linalg.solve(prec, phi.T @ data.y)
+    mean = np.linalg.solve(prec, phi.T @ y)
     cov = np.linalg.inv(prec)
 
     mode, chol, _, _ = _laplace_fit(fam, prior, data, k)

@@ -19,6 +19,8 @@ from sievecred import (
 from sievecred.basis import midpoint_design
 from sievecred.inference import PosteriorDraws
 
+from dense_design import responses
+
 
 def _coef_draws(values):
     values = np.asarray(values, dtype=float).reshape(-1, 1)
@@ -61,7 +63,7 @@ def test_radius_converges_to_true_quantile(reg16, rng):
 def test_radius_against_exact_gaussian_posterior_oracle():
     fam = make_family("regression", n=300)
     truth = generate_truth("self_similar", beta=1.0, seed=41)
-    data = fam.simulate(truth, 300, seed=42)
+    y, data = responses(fam, truth, 42)
     k = 3
     draws = sample_given_k(fam, gaussian_prior(), data, k, 4000, seed=43)
     center = posterior_center(draws, fam)
@@ -70,7 +72,7 @@ def test_radius_against_exact_gaussian_posterior_oracle():
     # oracle: 10^6 draws from the closed-form posterior, distances to the same center
     phi = midpoint_design(300).phi(k)
     prec = phi.T @ phi + np.eye(k)
-    mean = np.linalg.solve(prec, phi.T @ data.y)
+    mean = np.linalg.solve(prec, phi.T @ y)
     chol_cov = np.linalg.cholesky(np.linalg.inv(prec))
     rng = np.random.default_rng(44)
     big = mean + rng.standard_normal((1_000_000, k)) @ chol_cov.T
@@ -103,12 +105,12 @@ def test_empirical_conjugate_radius_within_its_chi2_interval():
             truth = generate_truth("self_similar", beta=1.0, seed=51, basis_tag=basis)
             p = n + 1.0  # N(0, 1) prior
             for rep in range(5):
-                data = fam.simulate(truth, n, seed=52 + rep)
+                y, data = responses(fam, truth, 52 + rep)
                 for k in (1, 3, 8):
                     draws = sample_given_k(fam, gaussian_prior(), data, k, count, seed=[53, rep, k])
                     center = posterior_center(draws, fam)
                     r = credible_radius(draws, center, fam, alpha)
-                    delta = np.linalg.norm(center - design.phi(k).T @ data.y / p)
+                    delta = np.linalg.norm(center - design.phi(k).T @ y / p)
                     lo = np.sqrt(chi2.ppf(u_lo, k) / p) - delta
                     hi = np.sqrt(chi2.ppf(u_hi, k) / p) + delta
                     assert lo <= r <= hi, (basis, n, rep, k)

@@ -5,9 +5,17 @@ import pytest
 from scipy.stats import norm
 
 from sievecred import gauss_legendre_rule, generate_truth, make_family
-from sievecred.basis import basis_matrix, eval_series, eval_series_grid, midpoint_design
+from sievecred.basis import (
+    basis_matrix,
+    eval_series,
+    eval_series_grid,
+    midpoint_design,
+    project_grid,
+)
 from sievecred.families import Dataset, _logistic, _softplus, max_dimension
 from sievecred.inference import PosteriorDraws, posterior_center
+
+from dense_design import responses
 
 
 def _uniform_hist_truth():
@@ -19,10 +27,13 @@ def _uniform_hist_truth():
 
 
 def test_regression_zero_truth_is_pure_noise(reg500):
+    # the dataset is Z ~ N(0, I/n) in K = max_k coordinates, so sqrt(n) Z is standard normal
     truth = generate_truth("explicit", beta=1.0, coefficients=[0.0])
     data = reg500.simulate(truth, 500, seed=12)
-    assert abs(data.y.mean()) < 4 / np.sqrt(500)
-    assert data.y.std() == pytest.approx(1.0, abs=0.2)
+    assert data.n == 500 and data.y.shape == (reg500.max_k,)
+    z = np.sqrt(500) * data.y
+    assert abs(z.mean()) < 4 / np.sqrt(z.size)
+    assert z.std() == pytest.approx(1.0, abs=0.2)
 
 
 def test_histogram_uniform_bin_frequencies(hist_family):
@@ -98,12 +109,21 @@ def test_loglinear_zero_theta(loglin_family):
 
 
 def test_regression_loglik_matches_normal_density():
+    # the likelihood of Z ~ N(theta padded to K, I/n)
     fam = make_family("regression", n=5)
     truth = generate_truth("explicit", beta=1.0, coefficients=[0.4, -0.1])
     data = fam.simulate(truth, 5, seed=21)
     theta = np.array([0.7])
-    direct = norm.logpdf(data.y, loc=midpoint_design(5).phi(1)[:, 0] * 0.7, scale=1.0).sum()
+    loc = np.pad(theta, (0, fam.max_k - 1))
+    direct = norm.logpdf(data.y, loc=loc, scale=1.0 / np.sqrt(5)).sum()
     assert fam.log_likelihood(theta, data) == pytest.approx(direct, abs=1e-10)
+
+
+def test_regression_dataset_of_responses_fails():
+    # a dataset of n responses built by hand is not read as Z
+    fam = make_family("regression", n=40)
+    with pytest.raises(ValueError, match="holds Z, 20 values, not 40"):
+        fam.loglik(Dataset("regression", np.zeros(40), 40), 1)
 
 
 def test_density_families_loglik_additive(hist_family, loglin_family):
@@ -139,8 +159,9 @@ def test_classification_loglik_additive_over_points(classif500):
 
 
 def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):
-    # l(theta) - l(theta') = -(n/2) d_n^2(theta, theta') + residual cross term
-    data = reg500.simulate(truth_b1, 500, seed=31)
+    # l(theta) - l(theta') = -(n/2) d_n^2(theta, theta') + residual cross term, for
+    # the responses y that Z reduces
+    y, data = responses(reg500, truth_b1, 31)
     design = midpoint_design(500)
     for _ in range(5):
         k = int(rng.integers(1, 6))
@@ -149,7 +170,7 @@ def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):
         phi = design.phi(k)
         lhs = reg500.log_likelihood(theta, data) - reg500.log_likelihood(theta_ref, data)
         d2 = np.mean((phi @ (theta - theta_ref)) ** 2)
-        cross = float((data.y - phi @ theta_ref) @ (phi @ (theta - theta_ref)))
+        cross = float((y - phi @ theta_ref) @ (phi @ (theta - theta_ref)))
         assert lhs == pytest.approx(-0.5 * 500 * d2 + cross, rel=1e-10, abs=1e-8)
 
 
@@ -214,23 +235,40 @@ def test_regression_projection_out_of_range_raises(reg500):
         reg500.bias_sq(truth, reg500.max_k + 1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_dimensions_below_one_raise(reg500, classif500, k):
+    # a negative k would slice from the end: the last coefficients, or the tail bias of K + k
+    truth = generate_truth("self_similar", beta=1.0, seed=1)
+    data = reg500.simulate(truth, 500, seed=1)
+    for call in (reg500.project, reg500.bias_sq):
+        with pytest.raises(ValueError, match="orthonormal design range"):
+            call(truth, k)
+    with pytest.raises(ValueError, match="orthonormal design range"):
+        reg500.loglik(data, k)
+    with pytest.raises(ValueError, match="orthonormal design range"):
+        classif500.design.phi(k)
+
+
 DESIGN_SIZES = [3, 5, 200, 2000, 8000, 32000]
 
 
 @pytest.mark.parametrize("basis", ["trigonometric", "cosine"])
 @pytest.mark.parametrize("n", DESIGN_SIZES)
 def test_regression_dataset_product_matches_the_per_k_product(basis, n):
-    # Phi_K'y is made once per dataset and sliced; each slice is Phi_k'y up to rounding
+    # the dataset Z = Phi_K'y/n, here reduced from y by FFT, is sliced; n Z_k is Phi_k'y
+    # up to rounding, and n |Z|^2 is made once
     fam = make_family("regression", n=n, basis_tag=basis)
     truth = generate_truth("self_similar", beta=1.0, seed=11, basis_tag=basis)
-    data = fam.simulate(truth, n, seed=4)
+    y = eval_series_grid(truth.coefficients, n, 0.5, tag=basis)
+    y = y + np.random.default_rng(4).standard_normal(n)
+    data = Dataset("regression", project_grid(y, fam.max_k, n, 0.5, basis) / n, n)
     design = midpoint_design(n, basis)
-    bound = 1e-14 * np.linalg.norm(data.y) * np.sqrt(n)
+    bound = 1e-14 * np.linalg.norm(y) * np.sqrt(n)
     for k in range(1, design.k_design + 1):
-        phi_y, yy, _ = fam._quadratic(data, k)
+        phi_y, zz, _ = fam._quadratic(data, k)
         assert phi_y.shape == (k,)
-        assert np.max(np.abs(design.phi(k).T @ data.y - phi_y)) <= bound, k
-        assert yy == float(data.y @ data.y)
+        assert np.max(np.abs(design.phi(k).T @ y - phi_y)) <= bound, k
+        assert zz == n * float(data.y @ data.y)
 
 
 @pytest.mark.parametrize("basis", ["trigonometric", "cosine"])

@@ -434,9 +434,16 @@ def test_cli_commands_work_on_replicate_one(tmp_path, capsys):
             out = tmp_path / f"{family}-{seed}"
             assert cli_main(["simulate", *flags, "--out-dir", str(out)]) == 0
             ctx = harness._Context(ExperimentConfig(family=family, seed=seed, n_grid=(200,)), 200)
-            lines = (out / "dataset.csv").read_text().splitlines()[1:]
+            header, *lines = (out / "dataset.csv").read_text().splitlines()
+            firsts = [line.split(",")[0] for line in lines]
             ys = [float(line.split(",")[1]) for line in lines]
             assert ys == ctx.family.simulate(ctx.truth, 200, seed + 1).y.tolist()
+            if family == "regression":  # (j, z_j) for the K entries of Z
+                assert header == "j,z"
+                assert firsts == [str(j) for j in range(1, ctx.family.max_k + 1)]
+            else:  # (x_i, y_i) at the n midpoints
+                assert header == "x,y"
+                assert firsts == [repr((i + 0.5) / 200) for i in range(200)]
             capsys.readouterr()
             assert cli_main(["mmle", *flags, "--out-dir", str(out)]) == 0
             k_hat = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["k_hat"]

@@ -20,11 +20,15 @@ from sievecred import (
     sample_hierarchical,
 )
 import sievecred.families as families
+import sievecred.harness as harness
+from sievecred import ExperimentConfig, credible_radius
 from sievecred.basis import midpoint_design
-from sievecred.families import FAMILY_TAGS, Dataset
+from sievecred.families import FAMILY_TAGS, Dataset, max_dimension
 from sievecred.inference import MARGINAL_METHODS, _regression_conjugate, route
 from sievecred.mcmc import McmcSettings
-from sievecred.priors import SievePrior
+from sievecred.priors import SievePrior, default_k_cap
+
+from dense_design import exact_basis_product, exact_basis_series, responses
 
 
 # ---------------------------------------------------------------------------
@@ -32,22 +36,25 @@ from sievecred.priors import SievePrior
 
 
 def test_regression_evidence_single_point_closed_form():
-    # n=3, k=1: phi_1 = sqrt(2) cos(2 pi x) at 1/6, 1/2, 5/6, N(0,1) prior, so
-    # y ~ N(0, I + phi phi') and m(y) is that normal density at y
+    # n=3, k=K=1: phi_1 = sqrt(2) cos(2 pi x) at 1/6, 1/2, 5/6, N(0,1) prior, so
+    # y ~ N(0, I + phi phi'), Z = phi'y/3 ~ N(0, phi'(I + phi phi')phi/9), and m(Z)
+    # is that normal density at Z
     fam = make_family("regression", n=3)
     y = np.array([0.3, -1.2, 0.7])
-    data = Dataset("regression", y, 3)
+    phi = midpoint_design(3).phi(1)[:, 0]
+    z = phi @ y / 3
+    data = Dataset("regression", [z], 3)
     log_m, method, _ = marginal_likelihood(fam, gaussian_prior(), data, 1)
     assert method == "conjugate"
-    phi = midpoint_design(3).phi(1)[:, 0]
-    cov = np.eye(3) + np.outer(phi, phi)
-    dense = -0.5 * (3 * np.log(2 * np.pi) + np.linalg.slogdet(cov)[1] + y @ np.linalg.solve(cov, y))
+    var = phi @ (np.eye(3) + np.outer(phi, phi)) @ phi / 9
+    dense = -0.5 * (np.log(2 * np.pi) + np.log(var) + z * z / var)
     assert log_m == pytest.approx(dense, rel=1e-12)
-    # independent 1-D quadrature over theta
+    # independent 1-D quadrature over theta, Z given theta ~ N(phi'phi theta/3, phi'phi/9)
     thetas = np.linspace(-12, 12, 20001)
+    var_given = phi @ phi / 9
     integrand = (
-        np.exp(-0.5 * ((y[:, None] - phi[:, None] * thetas) ** 2).sum(axis=0))
-        / (2 * np.pi) ** 1.5
+        np.exp(-0.5 * (z - phi @ phi * thetas / 3) ** 2 / var_given)
+        / np.sqrt(2 * np.pi * var_given)
         * np.exp(-0.5 * thetas**2) / np.sqrt(2 * np.pi)
     )
     assert np.exp(log_m) == pytest.approx(np.trapezoid(integrand, thetas), rel=1e-8)
@@ -99,20 +106,22 @@ def test_laplace_equals_conjugate_for_gaussian_regression(reg500, truth_b1):
 @pytest.mark.parametrize("n", [200, 2000, 32000])
 def test_conjugate_closed_form_is_the_dense_reference(n, truth_b1):
     # the N(0, 1) conjugate posterior from a Cholesky factor of Phi'Phi + I,
-    # against the closed form that takes Phi'Phi = n I
+    # against the closed form that takes Phi'Phi = n I; Phi_k'y = n Z_k and the
+    # y-likelihood's |y|^2 and n/2 log 2 pi are Z's n|Z|^2 and (K/2) log(2 pi/n)
     for basis in ("trigonometric", "cosine"):
         fam = make_family("regression", n=n, basis_tag=basis)
         design = midpoint_design(n, basis)
         data = fam.simulate(truth_b1, n, seed=21)
+        z = data.y
         sieve = prior_from_config({}, "regression", n)
         table = marginal_table(fam, sieve, data)
         for k in range(1, sieve.hyper.k_cap + 1):
             phi = design.phi(k)
             chol = np.linalg.cholesky(phi.T @ phi + np.eye(k))
-            half = np.linalg.solve(chol, phi.T @ data.y)
+            half = np.linalg.solve(chol, n * z[:k])
             log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-            log_m = (-0.5 * n * np.log(2.0 * np.pi) - 0.5 * log_det
-                     + 0.5 * (float(half @ half) - float(data.y @ data.y)))
+            log_m = (-0.5 * z.size * np.log(2.0 * np.pi / n) - 0.5 * log_det
+                     + 0.5 * (float(half @ half) - n * float(z @ z)))
             mean = np.linalg.solve(chol.T, half)
             closed_mean, _, closed_log_m = _regression_conjugate(fam, gaussian_prior(), data, k)
             assert table.log_m[k] == closed_log_m
@@ -121,14 +130,18 @@ def test_conjugate_closed_form_is_the_dense_reference(n, truth_b1):
 
 
 def test_importance_route_matches_exact_evidence(reg500, truth_b1):
+    # the Laplace proposal is regression's exact posterior, so every importance
+    # weight is the evidence up to rounding: the ESS is the particle count and
+    # log m is the exact value to a few ulps
     data = reg500.simulate(truth_b1, 500, seed=9)
-    exact, _, _ = marginal_likelihood(reg500, gaussian_prior(), data, 3)
-    log_m, method, diag = marginal_likelihood(
-        reg500, gaussian_prior(), data, 3, method="importance", seed=5, is_particles=4096
-    )
-    assert method == "importance"
-    assert diag["ess"] > 64
-    assert abs(log_m - exact) < 3 * diag["se_log_m"]
+    for k in (1, 3, 6):
+        exact, _, _ = marginal_likelihood(reg500, gaussian_prior(), data, k)
+        log_m, method, diag = marginal_likelihood(
+            reg500, gaussian_prior(), data, k, method="importance", seed=5, is_particles=4096
+        )
+        assert method == "importance"
+        assert diag["ess"] == pytest.approx(4096, rel=1e-9), k
+        assert abs(log_m - exact) <= 8 * np.spacing(abs(exact)), k
 
 
 def test_route_table():
@@ -269,14 +282,14 @@ def test_set_mass_equals_the_isin_sum(ks):
 
 
 def test_conjugate_regression_sampler_matches_closed_form(reg500, truth_b1):
-    data = reg500.simulate(truth_b1, 500, seed=13)
+    y, data = responses(reg500, truth_b1, 13)
     k = 3
     draws = sample_given_k(reg500, gaussian_prior(), data, k, 40_000, seed=2)
     assert draws.diagnostics["sampler"] == "conjugate"
     # independent closed form
     phi = midpoint_design(500).phi(k)
     prec = phi.T @ phi + np.eye(k)
-    mean = np.linalg.solve(prec, phi.T @ data.y)
+    mean = np.linalg.solve(prec, phi.T @ y)
     cov = np.linalg.inv(prec)
     sample_mean = draws.blocks[k].mean(axis=0)
     for j in range(k):
@@ -299,7 +312,7 @@ def test_dirichlet_sampler_posterior_mean():
 
 
 def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
-    data = reg500.simulate(truth_b1, 500, seed=17)
+    y, data = responses(reg500, truth_b1, 17)
     k = 2
     settings = McmcSettings(burn_in=1500)
     draws = sample_given_k(reg500, gaussian_prior(), data, k, 8000, seed=3, mcmc=settings)
@@ -322,7 +335,7 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     assert 0.05 < diag["acceptance_rate"] < 0.6
     phi = midpoint_design(500).phi(k)
     prec = phi.T @ phi + np.eye(k)
-    mean = np.linalg.solve(prec, phi.T @ data.y)
+    mean = np.linalg.solve(prec, phi.T @ y)
     batches = chain.reshape(20, -1, k).mean(axis=1)
     se = batches.std(axis=0, ddof=1) / np.sqrt(20)
     assert np.all(np.abs(chain.mean(axis=0) - mean) < 3 * se + 1e-12)
@@ -396,13 +409,13 @@ def test_center_averages_coefficients(reg500):
 
 
 def test_center_matches_conjugate_mean_function(reg500, truth_b1):
-    data = reg500.simulate(truth_b1, 500, seed=29)
+    y, data = responses(reg500, truth_b1, 29)
     k = 4
     draws = sample_given_k(reg500, gaussian_prior(), data, k, 60_000, seed=31)
     center = posterior_center(draws, reg500)
     phi = midpoint_design(500).phi(k)
     prec = phi.T @ phi + np.eye(k)
-    mean_fn = phi @ np.linalg.solve(prec, phi.T @ data.y)
+    mean_fn = phi @ np.linalg.solve(prec, phi.T @ y)
     got = phi @ center
     mc_sd = float(np.sqrt(np.diag(phi @ np.linalg.inv(prec) @ phi.T)).max() / np.sqrt(60_000))
     assert np.max(np.abs(got - mean_fn)) < 6 * mc_sd
@@ -440,19 +453,63 @@ def test_histogram_center_mixture_density(hist_family):
     assert np.allclose(center, 1.0, atol=1e-12)
 
 
-def test_regression_reads_one_design_product_per_dataset(monkeypatch, reg500, truth_b1):
-    # the table, the empirical draw and every hierarchical k slice one Phi_K'y
+def test_regression_replicate_path_makes_no_fft(monkeypatch, reg500, truth_b1):
+    # the dataset is Z itself: once the truth's coefficients are made, a replicate
+    # evaluates no series and takes no product with the basis
+    truth_emb = reg500.truth_embedding(truth_b1)
+
+    def fft(*args):
+        raise AssertionError("an FFT on the replicate path")
+
+    monkeypatch.setattr(families, "project_grid", fft)
+    monkeypatch.setattr(families, "eval_series_grid", fft)
     sieve = prior_from_config({}, "regression", 500)
     data = reg500.simulate(truth_b1, 500, seed=12)
-    products = []
-    project = families.project_grid
-    monkeypatch.setattr(families, "project_grid",
-                        lambda v, k, *args: products.append(k) or project(v, k, *args))
     table = marginal_table(reg500, sieve, data)
     sample_given_k(reg500, sieve.conditional, data, mmle(table), 200, seed=2)
     draws = sample_hierarchical(reg500, sieve, data, 200, seed=3, table=table)
     assert len(draws.blocks) > 1
-    assert products == [reg500.max_k]
+    center = posterior_center(draws, reg500)
+    assert credible_radius(draws, center, reg500, 0.05) > 0
+    assert reg500.metric().distance(truth_emb, reg500.center_embedding(center)) > 0
+
+
+class _ResponseRegression(families.Regression):
+    """Regression read from n responses y through the y-likelihood, on the dense design."""
+
+    def _quadratic(self, data, k):
+        phi_y = exact_basis_product(data.y, k, self.n, 0.5, self.basis_tag)
+        return phi_y, float(data.y @ data.y), -0.5 * self.n * np.log(2.0 * np.pi)
+
+
+@pytest.mark.parametrize("basis", ["trigonometric", "cosine"])
+@pytest.mark.parametrize("n", [3, 500, 2000, 8200])
+def test_regression_on_z_is_the_response_route(monkeypatch, basis, n):
+    # y simulated on the dense midpoint design: the family fed Z = Phi_K'y/n selects
+    # the same k, with the same k-posterior, r_alpha and d, as the y-likelihood, and
+    # log m_y(k) - log m_Z(k) = -|y - Phi_K Z|^2/2 - ((n - K)/2) log 2 pi - (K/2) log n
+    cap = min(default_k_cap(n), max_dimension("regression", n, basis))
+    cfg = ExperimentConfig(n_grid=(n,), basis=basis, prior={"k_cap": cap}, seed=31)
+    ctx = harness._Context(cfg, n)
+    y, data = responses(ctx.family, ctx.truth, cfg.seed + 1)
+    K = ctx.family.max_k
+    records, tables = [], []
+    for family, dataset in ((ctx.family, data), (_ResponseRegression(n, basis), Dataset("regression", y, n))):
+        monkeypatch.setattr(ctx, "family", family)
+        monkeypatch.setattr(ctx, "data", lambda rep_id: dataset)
+        records.append(harness._run_replicate(ctx, 1)["modes"])
+        tables.append(ctx.table(dataset, 1))
+    (on_z, on_y), (table_z, table_y) = records, tables
+    for mode in ("empirical", "hierarchical"):
+        assert on_z[mode]["k"] == on_y[mode]["k"], mode
+        for key in ("r_alpha", "d"):
+            assert on_z[mode][key] == pytest.approx(on_y[mode][key], rel=1e-12, abs=0.0), mode
+    np.testing.assert_allclose(on_z["hierarchical"]["k_posterior"],
+                               on_y["hierarchical"]["k_posterior"], rtol=0.0, atol=1e-12)
+    resid = y - exact_basis_series(data.y, n, 0.5, basis)
+    shift = -0.5 * float(resid @ resid) - 0.5 * (n - K) * np.log(2 * np.pi) - 0.5 * K * np.log(n)
+    for k in range(1, cap + 1):
+        assert table_y.log_m[k] - table_z.log_m[k] == pytest.approx(shift, rel=1e-9), k
 
 
 def test_laplace_chains_reuse_the_table_fits(monkeypatch, classif500):

@@ -13,6 +13,8 @@ from sievecred import (
 )
 from sievecred.basis import design_dimension, eval_series_rule, project_grid
 
+from dense_design import exact_basis_product
+
 
 def test_rule_has_512_nodes_on_unit_interval():
     assert DEFAULT_RULE.nodes.size == 512
@@ -116,27 +118,6 @@ def test_eval_series_grid_rejects_counts_beyond_two_periods():
         eval_series_grid([1.0], 4, 0.0, 9)
 
 
-def _exact_basis_product(v, k, n, shift, tag):
-    """Phi_k'v with each angle pi q (2i + 2 shift)/(2n) reduced mod 2 pi in integers.
-
-    `basis_matrix` rounds 2 pi q x_i, an error that grows with the frequency q,
-    so beyond k = 64 this is the dense reference.
-    """
-    i2 = 2 * np.arange(n) + round(2 * shift)
-    j = np.arange(1, k + 1)
-    q = 2 * ((j + 1) // 2) if tag == "trigonometric" else j
-    out = np.empty(k)
-    for start in range(0, k, 256):
-        block = slice(start, start + 256)
-        angle = np.pi * (np.outer(i2, q[block]) % (4 * n)) / (2 * n)
-        values = np.cos(angle)
-        if tag == "trigonometric":
-            sine = j[block] % 2 == 0
-            values[:, sine] = np.sin(angle[:, sine])
-        out[block] = np.sqrt(2.0) * values.T @ v
-    return out
-
-
 @pytest.mark.parametrize("tag", ["trigonometric", "cosine"])
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 @pytest.mark.parametrize("n", [3, 4, 5, 200, 2000, 8200])
@@ -150,7 +131,7 @@ def test_project_grid_is_the_dense_basis_product(tag, shift, n):
     x = (np.arange(n) + shift) / n
     k = min(k_max, 64)
     assert np.max(np.abs(basis_matrix(x, k, tag).T @ v - got[:k])) <= bound
-    assert np.max(np.abs(_exact_basis_product(v, k_max, n, shift, tag) - got)) <= bound
+    assert np.max(np.abs(exact_basis_product(v, k_max, n, shift, tag) - got)) <= bound
     for k in {1, (k_max + 1) // 2, k_max}:
         assert np.array_equal(project_grid(v, k, n, shift, tag), got[:k]), k
 
