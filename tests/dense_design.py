@@ -49,10 +49,9 @@ def exact_basis_series(c, n, shift, tag):
 
 
 def responses(fam, truth, seed):
-    """(y, data): y = f0 + N(0, I) on the midpoints of the regression `fam`, and
-    the dataset Z = Phi_K'y/n, K = `fam.max_k`, that `fam` reads.
-
-    y is the response vector that regression simulated before it drew Z directly.
+    """(y, data): y = f0 + N(0, I) on the midpoints of the regression `fam`, the
+    noise drawn from `default_rng(seed)`, and the dataset Z = Phi_K'y/n,
+    K = `fam.max_k`, that `fam` reads.
     """
     n = fam.n
     y = eval_series_grid(truth.coefficients, n, 0.5, tag=fam.basis_tag)

@@ -3,8 +3,10 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from sievecred import (
+    ExperimentConfig,
     KPosterior,
     MarginalLikelihoodTable,
+    credible_radius,
     dirichlet_prior,
     gaussian_prior,
     generate_truth,
@@ -21,7 +23,6 @@ from sievecred import (
 )
 import sievecred.families as families
 import sievecred.harness as harness
-from sievecred import ExperimentConfig, credible_radius
 from sievecred.basis import midpoint_design
 from sievecred.families import FAMILY_TAGS, Dataset, max_dimension
 from sievecred.inference import MARGINAL_METHODS, _regression_conjugate, route
