@@ -495,7 +495,8 @@ def test_regression_on_z_is_the_response_route(monkeypatch, basis, n):
     y, data = responses(ctx.family, ctx.truth, cfg.seed + 1)
     K = ctx.family.max_k
     records, tables = [], []
-    for family, dataset in ((ctx.family, data), (_ResponseRegression(n, basis), Dataset("regression", y, n))):
+    on_responses = (_ResponseRegression(n, basis), Dataset("regression", y, n))
+    for family, dataset in ((ctx.family, data), on_responses):
         monkeypatch.setattr(ctx, "family", family)
         monkeypatch.setattr(ctx, "data", lambda rep_id: dataset)
         records.append(harness._run_replicate(ctx, 1)["modes"])
