@@ -42,7 +42,6 @@ from .priors import (
     dirichlet_prior,
     gaussian_prior,
     hyper_prior,
-    log_prior_density,
     prior_from_config,
     sample_prior,
 )

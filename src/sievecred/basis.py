@@ -134,9 +134,9 @@ class DesignGrid:
 
 
 def check_dimension(k: int, k_max: int) -> int:
-    """k, if 1 <= k <= k_max, the largest orthonormal dimension; raises ValueError otherwise."""
+    """k, if 1 <= k <= k_max, the model's largest dimension; raises ValueError otherwise."""
     if not 1 <= k <= k_max:
-        raise ValueError(f"k={k} lies outside the orthonormal design range 1 <= k <= {k_max}")
+        raise ValueError(f"k={k} lies outside the model range 1 <= k <= {k_max}")
     return k
 
 

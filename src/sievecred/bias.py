@@ -58,19 +58,14 @@ class BiasProfile:
             for k in sorted(self.values):
                 writer.writerow([k, repr(self.values[k]), repr(self.eps2(k))])
 
-    def to_json(self, path=None) -> str:
-        payload = {
+    def to_json(self) -> str:
+        return json.dumps({
             "n": self.n,
             "k_max": self.k_max,
             "k_n": self.k_n,
             "beyond_range": self.beyond_range,
             "values": {str(k): self.values[k] for k in sorted(self.values)},
-        }
-        text = json.dumps(payload)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        })
 
 
 def bias_profile(truth, family, k_max: int, n: int) -> BiasProfile:

@@ -2,12 +2,15 @@
 
 Each family bundles the parameterization theta -> observable, a simulator for
 data from a truth, the projection of a truth onto the k-dimensional model, and
-the semi-metric in which credible balls are built. Its likelihood has two entry
-points: `loglik(data, k)` scores a (s, k) array of theta rows, and
-`loglik_derivs(data, k)` gives theta -> (value, gradient, Hessian) for the
-smooth families. Log-linear and classification embed theta rows through one
-`embedding_rows(block, k)` method, over which centers and draw distances are
-shared; the histogram computes its center, draw distances and bias per bin.
+the semi-metric in which credible balls are built. A smooth family's likelihood
+has two entry points: `loglik(data, k)` scores a (s, k) array of theta rows,
+and `loglik_derivs(data, k)` gives theta -> (value, gradient, Hessian). The
+histogram has neither: under its conjugate Dirichlet prior the data enter only
+through the bin `counts(data, k)`. `project`, `bias_sq`, `loglik`,
+`loglik_derivs` and `counts` raise ValueError for a k outside 1..`max_k`
+(`check_dimension`). Log-linear and classification embed theta rows through
+one `embedding_rows(block, k)` method, over which centers and draw distances
+are shared; the histogram computes its center, draw distances and bias per bin.
 Density families (histogram, log-linear) share a fixed quadrature grid and
 embed the truth from its series on it; design families (regression,
 classification) observe at the n midpoints x_i = (i - 1/2)/n, on which
@@ -49,7 +52,7 @@ from .quadrature import DEFAULT_RULE, QuadratureRule, gauss_legendre_rule
 from .truths import TruthSpec
 
 FAMILY_TAGS = ("regression", "histogram", "loglinear", "classification")
-SMOOTH_FAMILY_TAGS = ("regression", "loglinear", "classification")  # those with `loglik_derivs`
+SMOOTH_FAMILY_TAGS = ("regression", "loglinear", "classification")  # with `loglik(_derivs)`
 DESIGN_FAMILY_TAGS = ("regression", "classification")  # observed at x_i = (i - 1/2)/n
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -91,13 +94,6 @@ class Dataset(Memo):
                 writer.writerow([first, repr(float(y))])
 
 
-def _simplex_check(theta: np.ndarray):
-    if np.any(theta < 0):
-        raise ValueError("histogram parameter has negative entries")
-    if abs(float(theta.sum()) - 1.0) > 1e-8:
-        raise ValueError("histogram parameter does not sum to one")
-
-
 def _softplus(f: np.ndarray) -> np.ndarray:
     """log(1 + e^f) elementwise, as np.logaddexp(0, f) but by vector kernels; cannot overflow."""
     return np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
@@ -135,11 +131,6 @@ class _Family(Memo):
             raise ValueError(f"family was built for n={self.n}, got {n}")
         y = self._draw(truth, n, np.random.default_rng(seed))
         return Dataset(self.tag, y, n)
-
-    def log_likelihood(self, theta, data: Dataset) -> float:
-        """log-likelihood of one parameter vector, through the batched `loglik`."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return float(self.loglik(data, theta.size)(theta[None, :])[0])
 
 
 class _RowEmbedded(_Family):
@@ -338,27 +329,9 @@ class Histogram(_Density):
         return np.clip(1.0 + series, 0.0, None)
 
     def counts(self, data: Dataset, k: int) -> np.ndarray:
-        idx = np.minimum((data.y * k).astype(int), k - 1)
+        """The counts in k regular bins, the histogram's sufficient statistic."""
+        idx = np.minimum((data.y * check_dimension(k, self.max_k)).astype(int), k - 1)
         return np.bincount(idx, minlength=k)
-
-    def log_likelihood(self, theta, data: Dataset) -> float:
-        _simplex_check(np.atleast_1d(np.asarray(theta, dtype=float)))
-        return super().log_likelihood(theta, data)
-
-    def loglik(self, data: Dataset, k: int):
-        counts = self.counts(data, k)
-        occupied = counts > 0
-        c_occ = counts[occupied].astype(float)
-        logk = np.log(k)
-
-        def loglik(thetas):
-            t = thetas[:, occupied]
-            out = np.full(thetas.shape[0], -np.inf)
-            good = np.all(t > 0.0, axis=1)
-            out[good] = (c_occ * (logk + np.log(t[good]))).sum(axis=1)
-            return out
-
-        return loglik
 
     def _cell_integrals(self, truth: TruthSpec, k: int):
         """(int p0, int sqrt p0) over each of k regular bins, once per k."""
@@ -368,7 +341,7 @@ class Histogram(_Density):
             series = eval_series_rule(truth.coefficients, rule, self.basis_tag)
             return hist_cell_integrals(self._density_from_series(truth, series), rule)
 
-        return self._per_truth(truth, ("cells", k), compute)
+        return self._per_truth(truth, ("cells", check_dimension(k, self.max_k)), compute)
 
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
         cells = np.clip(self._cell_integrals(truth, k)[0], 0.0, None)
@@ -457,7 +430,7 @@ class LogLinear(_Density):
         more columns row by row, which gives each column the same sum at any
         width, and a lone column pairwise, which only width 1 (k = 1) does.
         """
-        width = 1 << (k - 1).bit_length()
+        width = 1 << (check_dimension(k, self.max_k) - 1).bit_length()
         sums = data.once(("suff_stats", self.basis_tag, width),
                          lambda: basis_matrix(data.y, width, self.basis_tag).sum(axis=0))
         return sums[:k].copy()
@@ -491,7 +464,7 @@ class LogLinear(_Density):
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
         """KL(theta_0, .) minimizer: matches E_{f_theta} phi_j to the truth's moments."""
         f0 = self.truth_embedding(truth)
-        m0 = self.phi_grid[:, :k].T @ (self.rule.weights * f0)
+        m0 = self.phi_grid[:, : check_dimension(k, self.max_k)].T @ (self.rule.weights * f0)
         x0 = np.zeros(k)
         x0[: min(k, truth.coefficients.size)] = truth.coefficients[:k]
         return _maximize(self._derivs(m0, 1), x0)

@@ -19,7 +19,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -262,6 +261,9 @@ def _collect_replicates(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     if cfg.threads == 1:
         results = [_worker(cfg_key, n, rep) for n, rep in jobs]
     else:
+        # imported here: multiprocessing would add to every `import sievecred`
+        from concurrent.futures import ProcessPoolExecutor
+
         # about 16 chunks of jobs per worker; map returns the results in job order
         ns, reps = zip(*jobs)
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
@@ -437,7 +439,7 @@ def run_rate(config: ExperimentConfig) -> dict:
         raise ValueError("rate check needs at least 3 sample sizes")
     mode = "empirical" if config.mode == "both" else config.mode
     cfg = ExperimentConfig.from_dict({**config.to_dict(), "mode": mode})
-    results, _ = _collect_replicates(cfg)
+    results, errors = _collect_replicates(cfg)
     points = []
     for n in cfg.n_grid:
         logs = [math.log(2.0 * r["modes"][mode]["r_alpha"]) for r in results if r["n"] == n]
@@ -451,6 +453,7 @@ def run_rate(config: ExperimentConfig) -> dict:
         "stderr": se,
         "target": -cfg.beta / (1.0 + 2.0 * cfg.beta),
         "points": points,
+        "errors": errors,
     }
     if cfg.out_dir:
         _write_report(cfg.out_dir, "rate", report)

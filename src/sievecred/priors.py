@@ -3,7 +3,10 @@
 The hyperprior is geometric or Poisson restricted to {1, ..., k_cap} and
 renormalized. Conditional priors are either an iid product of the centred
 gaussian density g = N(0, scale^2), inside the exponential tail envelope with
-q = 2, or a Dirichlet on the simplex for histograms.
+q = 2, or a Dirichlet on the simplex for histograms. Only the gaussian prior
+has a density here (`log_prior_rows`), for the Laplace, importance and
+random-walk routes. The Dirichlet is conjugate to the histogram, so its route
+takes m_n(k) and the posterior Dirichlet(alpha + counts) from the bin counts.
 """
 
 from __future__ import annotations
@@ -58,25 +61,14 @@ def dirichlet_prior(alpha: float = 1.0) -> ConditionalPrior:
     return ConditionalPrior("dirichlet", alpha=alpha)
 
 
-def log_prior_density(prior: ConditionalPrior, theta) -> float:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if prior.kind == "dirichlet" and (np.any(theta < 0) or abs(float(theta.sum()) - 1.0) > 1e-10):
-        raise ValueError("dirichlet density requires a point on the simplex")
-    return float(log_prior_rows(prior, theta[None])[0])
-
-
 def log_prior_rows(prior: ConditionalPrior, thetas: np.ndarray) -> np.ndarray:
-    """log_prior_density applied to each row of a (count, k) array."""
-    thetas = np.asarray(thetas, dtype=float)
-    if prior.kind != "dirichlet":
-        return prior.logpdf(thetas).sum(axis=1)
-    k, a = thetas.shape[1], prior.alpha
-    norm = math.lgamma(k * a) - k * math.lgamma(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.zeros_like(thetas) if a == 1.0 else (a - 1.0) * np.log(thetas)
-    out = norm + terms.sum(axis=1)
-    out[np.isnan(out)] = -np.inf
-    return out
+    """The log-density of a gaussian prior at each row of a (count, k) array.
+
+    The Dirichlet prior has no density here: its route scores the bin counts in closed form.
+    """
+    if prior.kind != "gaussian":
+        raise ValueError(f"no prior density for a {prior.kind} prior")
+    return prior.logpdf(thetas).sum(axis=1)
 
 
 def sample_prior(prior: ConditionalPrior, k: int, count: int, seed) -> np.ndarray:

@@ -37,7 +37,7 @@ from sievecred import (
 from sievecred.basis import midpoint_design
 from sievecred.inference import _laplace_fit
 from sievecred.mcmc import McmcSettings, adaptive_rwm
-from sievecred.priors import log_prior_density
+from sievecred.priors import log_prior_rows
 
 from dense_design import responses
 
@@ -117,7 +117,7 @@ def test_criterion_03_mcmc_and_laplace_validation():
     loglik = fam.loglik(data, k)
 
     def log_target(theta):
-        return loglik(theta[None, :])[0] + log_prior_density(prior, theta)
+        return loglik(theta[None, :])[0] + log_prior_rows(prior, theta[None, :])[0]
 
     chain, diag = adaptive_rwm(
         log_target, mode, np.linalg.inv(chol).T, 20000, McmcSettings(burn_in=5000),

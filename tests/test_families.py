@@ -85,27 +85,11 @@ def test_simulate_is_deterministic(reg500, truth_b1):
 # log-likelihoods
 
 
-def test_histogram_uniform_theta_gives_zero_loglik(hist_family):
-    data = hist_family.simulate(_uniform_hist_truth(), 200, seed=1)
-    assert hist_family.log_likelihood(np.array([0.5, 0.5]), data) == pytest.approx(0.0)
-
-
-def test_histogram_zero_cell_sentinel(hist_family):
-    data = Dataset("histogram", np.array([0.1, 0.6]), 2)
-    assert hist_family.log_likelihood(np.array([0.0, 1.0]), data) == -np.inf
-
-
-def test_histogram_simplex_validation(hist_family):
-    data = hist_family.simulate(_uniform_hist_truth(), 10, seed=1)
-    with pytest.raises(ValueError):
-        hist_family.log_likelihood(np.array([0.7, 0.7]), data)
-
-
 def test_loglinear_zero_theta(loglin_family):
     truth = generate_truth("self_similar", beta=1.0, seed=2, family_tag="loglinear")
     data = loglin_family.simulate(truth, 25, seed=5)
     assert loglin_family.log_norm(np.zeros(3)) == pytest.approx(0.0, abs=1e-14)
-    assert loglin_family.log_likelihood(np.zeros(3), data) == pytest.approx(0.0, abs=1e-12)
+    assert loglin_family.loglik(data, 3)(np.zeros((1, 3)))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regression_loglik_matches_normal_density():
@@ -116,7 +100,7 @@ def test_regression_loglik_matches_normal_density():
     theta = np.array([0.7])
     loc = np.pad(theta, (0, fam.max_k - 1))
     direct = norm.logpdf(data.y, loc=loc, scale=1.0 / np.sqrt(5)).sum()
-    assert fam.log_likelihood(theta, data) == pytest.approx(direct, abs=1e-10)
+    assert fam.loglik(data, theta.size)(theta[None, :])[0] == pytest.approx(direct, abs=1e-10)
 
 
 def test_regression_dataset_of_responses_fails():
@@ -126,26 +110,18 @@ def test_regression_dataset_of_responses_fails():
         fam.loglik(Dataset("regression", np.zeros(40), 40), 1)
 
 
-def test_density_families_loglik_additive(hist_family, loglin_family):
-    truth_h = generate_truth("self_similar", beta=1.0, seed=3, family_tag="histogram")
-    data = hist_family.simulate(truth_h, 40, seed=6)
-    first = Dataset("histogram", data.y[:25], 25)
-    second = Dataset("histogram", data.y[25:], 15)
-    theta = np.array([0.2, 0.3, 0.5])
-    whole = hist_family.log_likelihood(theta, data)
-    assert whole == pytest.approx(
-        hist_family.log_likelihood(theta, first) + hist_family.log_likelihood(theta, second)
-    )
-
+def test_density_families_loglik_additive(loglin_family):
+    # the histogram has no generic likelihood: its bin counts, which add, are all it uses
     truth_l = generate_truth("self_similar", beta=1.0, seed=3, family_tag="loglinear")
     data = loglin_family.simulate(truth_l, 40, seed=6)
     first = Dataset("loglinear", data.y[:25], 25)
     second = Dataset("loglinear", data.y[25:], 15)
     theta = np.array([0.4, 0.2])
-    assert loglin_family.log_likelihood(theta, data) == pytest.approx(
-        loglin_family.log_likelihood(theta, first) + loglin_family.log_likelihood(theta, second),
-        abs=1e-9,
-    )
+
+    def loglik(part):
+        return loglin_family.loglik(part, theta.size)(theta[None, :])[0]
+
+    assert loglik(data) == pytest.approx(loglik(first) + loglik(second), abs=1e-9)
 
 
 def test_classification_loglik_additive_over_points(classif500):
@@ -155,7 +131,8 @@ def test_classification_loglik_additive_over_points(classif500):
     f = classif500.design.phi(2) @ theta
     direct = float(np.sum(data.y * np.log(1 / (1 + np.exp(-f)))
                           + (1 - data.y) * np.log(1 - 1 / (1 + np.exp(-f)))))
-    assert classif500.log_likelihood(theta, data) == pytest.approx(direct, abs=1e-8)
+    assert classif500.loglik(data, theta.size)(theta[None, :])[0] == pytest.approx(direct,
+                                                                                abs=1e-8)
 
 
 def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):
@@ -168,7 +145,8 @@ def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):
         theta = rng.standard_normal(k)
         theta_ref = rng.standard_normal(k)
         phi = design.phi(k)
-        lhs = reg500.log_likelihood(theta, data) - reg500.log_likelihood(theta_ref, data)
+        lhs = (reg500.loglik(data, theta.size)(theta[None, :])[0]
+               - reg500.loglik(data, theta_ref.size)(theta_ref[None, :])[0])
         d2 = np.mean((phi @ (theta - theta_ref)) ** 2)
         cross = float((y - phi @ theta_ref) @ (phi @ (theta - theta_ref)))
         assert lhs == pytest.approx(-0.5 * 500 * d2 + cross, rel=1e-10, abs=1e-8)
@@ -235,18 +213,26 @@ def test_regression_projection_out_of_range_raises(reg500):
         reg500.bias_sq(truth, reg500.max_k + 1)
 
 
-@pytest.mark.parametrize("k", [0, -1])
-def test_dimensions_below_one_raise(reg500, classif500, k):
-    # a negative k would slice from the end: the last coefficients, or the tail bias of K + k
-    truth = generate_truth("self_similar", beta=1.0, seed=1)
-    data = reg500.simulate(truth, 500, seed=1)
-    for call in (reg500.project, reg500.bias_sq):
-        with pytest.raises(ValueError, match="orthonormal design range"):
-            call(truth, k)
-    with pytest.raises(ValueError, match="orthonormal design range"):
-        reg500.loglik(data, k)
-    with pytest.raises(ValueError, match="orthonormal design range"):
-        classif500.design.phi(k)
+@pytest.mark.parametrize("k", [0, -1, "max_k + 1"])
+def test_dimensions_below_one_raise(reg500, classif500, hist_family, loglin_family, k):
+    # a negative k would slice from the end: the last coefficients, or the tail bias of K + k;
+    # k = 0 made a histogram divide by zero and the log-linear family return the bias of no
+    # model, and the histogram binned beyond max_k
+    def dim(fam):
+        return fam.max_k + 1 if k == "max_k + 1" else k
+
+    for fam, data_calls in ((reg500, ("loglik",)), (hist_family, ("counts",)),
+                            (loglin_family, ("loglik", "loglik_derivs", "suff_stats"))):
+        truth = generate_truth("self_similar", beta=1.0, seed=1, family_tag=fam.tag)
+        data = fam.simulate(truth, 500, seed=1)
+        for call in (fam.project, fam.bias_sq):
+            with pytest.raises(ValueError, match="outside the model range"):
+                call(truth, dim(fam))
+        for name in data_calls:
+            with pytest.raises(ValueError, match="outside the model range"):
+                getattr(fam, name)(data, dim(fam))
+    with pytest.raises(ValueError, match="outside the model range"):
+        classif500.design.phi(dim(classif500))
 
 
 DESIGN_SIZES = [3, 5, 200, 2000, 8000, 32000]

@@ -246,6 +246,24 @@ def test_error_budget_enforced(monkeypatch):
     assert report.cell(mode="empirical", L=1.0)["replicates_used"] == 59
 
 
+def test_run_rate_records_its_failed_replicates(monkeypatch):
+    # one failure in 60 jobs is inside the 2% budget: it is listed, and its point is one short
+    real = harness._run_replicate
+
+    def rare(ctx, rep_id):
+        if ctx.n == 200 and rep_id == 3:
+            raise RuntimeError("synthetic failure")
+        return real(ctx, rep_id)
+
+    monkeypatch.setattr(harness, "_run_replicate", rare)
+    report = run_rate(_tiny_config(n_grid=(100, 200, 400), replicates=20, draws=80,
+                                   mode="empirical"))
+    assert report["errors"] == [
+        {"n": 200, "replicate_id": 3, "error": "RuntimeError: synthetic failure"}
+    ]
+    assert [p["replicates"] for p in report["points"]] == [20, 19, 20]
+
+
 def test_fit_rate_exact_power_law():
     ns = [500, 2000, 8000]
     logs = [math.log(3.7 * (n / math.log(n)) ** (-1.0 / 3.0)) for n in ns]

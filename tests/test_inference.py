@@ -322,13 +322,13 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     # gaussian-prior target by hand and compare it against the closed form
     from sievecred.inference import _laplace_fit
     from sievecred.mcmc import adaptive_rwm
-    from sievecred.priors import log_prior_density
+    from sievecred.priors import log_prior_rows
 
     mode, chol, _, _ = _laplace_fit(reg500, gaussian_prior(), data, k)
     loglik = reg500.loglik(data, k)
 
     def log_target(theta):
-        return loglik(theta[None, :])[0] + log_prior_density(gaussian_prior(), theta)
+        return loglik(theta[None, :])[0] + log_prior_rows(gaussian_prior(), theta[None, :])[0]
 
     rng = np.random.default_rng(11)
     chain, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, 12_000,

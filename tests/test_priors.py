@@ -8,37 +8,30 @@ from sievecred import (
     dirichlet_prior,
     gaussian_prior,
     hyper_prior,
-    log_prior_density,
     prior_from_config,
     sample_prior,
 )
+from sievecred.priors import log_prior_rows
 
 
 def test_standard_normal_at_zero():
-    assert log_prior_density(gaussian_prior(), np.array([0.0])) == pytest.approx(
+    assert log_prior_rows(gaussian_prior(), np.array([0.0])[None, :])[0] == pytest.approx(
         -np.log(np.sqrt(2 * np.pi))
     )
-
-
-def test_flat_dirichlet_density_is_one():
-    prior = dirichlet_prior(1.0)
-    for t in (0.1, 0.5, 0.93):
-        assert log_prior_density(prior, np.array([t, 1 - t])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gaussian_density_product_closed_form():
     prior = gaussian_prior(scale=0.7)
     theta = np.array([0.3, -1.2, 2.0])
     direct = norm.logpdf(theta, scale=0.7).sum()
-    assert log_prior_density(prior, theta) == pytest.approx(direct, abs=1e-12)
+    assert log_prior_rows(prior, theta[None, :])[0] == pytest.approx(direct, abs=1e-12)
 
 
-def test_simplex_violations_rejected():
-    prior = dirichlet_prior(1.0)
-    with pytest.raises(ValueError):
-        log_prior_density(prior, np.array([0.6, 0.6]))
-    with pytest.raises(ValueError):
-        log_prior_density(prior, np.array([-0.1, 1.1]))
+def test_dirichlet_prior_has_no_row_density():
+    # the Dirichlet route scores the bin counts itself; read as a gaussian, a
+    # Dirichlet prior's default scale of 1 would give N(0, 1) densities
+    with pytest.raises(ValueError, match="dirichlet"):
+        log_prior_rows(dirichlet_prior(1.0), np.array([[0.3, 0.7]]))
 
 
 def test_gaussian_sampling_moments():
@@ -56,16 +49,11 @@ def test_prior_mass_integrates_to_one():
     xs = np.linspace(-12, 12, 4001)
     dx = xs[1] - xs[0]
     for prior in (gaussian_prior(), gaussian_prior(scale=0.5)):
-        mass1 = np.exp([log_prior_density(prior, np.array([x])) for x in xs]).sum() * dx
+        mass1 = np.exp([log_prior_rows(prior, np.array([[x]]))[0] for x in xs]).sum() * dx
         assert mass1 == pytest.approx(1.0, abs=1e-3)
         g = np.exp(prior.logpdf(xs))
         mass2 = (np.outer(g, g)).sum() * dx * dx
         assert mass2 == pytest.approx(1.0, abs=1e-3)
-    # Dirichlet(2, 2) on the simplex edge parameterized by the first coordinate
-    prior = dirichlet_prior(2.0)
-    ts = np.linspace(1e-9, 1 - 1e-9, 20001)
-    dens = np.exp([log_prior_density(prior, np.array([t, 1 - t])) for t in ts])
-    assert np.trapezoid(dens, ts) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_geometric_mass_ratio():
