@@ -131,8 +131,8 @@ def test_classification_loglik_additive_over_points(classif500):
     f = classif500.design.phi(2) @ theta
     direct = float(np.sum(data.y * np.log(1 / (1 + np.exp(-f)))
                           + (1 - data.y) * np.log(1 - 1 / (1 + np.exp(-f)))))
-    assert classif500.loglik(data, theta.size)(theta[None, :])[0] == pytest.approx(direct,
-                                                                                abs=1e-8)
+    got = classif500.loglik(data, theta.size)(theta[None, :])[0]
+    assert got == pytest.approx(direct, abs=1e-8)
 
 
 def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):
@@ -215,9 +215,9 @@ def test_regression_projection_out_of_range_raises(reg500):
 
 @pytest.mark.parametrize("k", [0, -1, "max_k + 1"])
 def test_dimensions_below_one_raise(reg500, classif500, hist_family, loglin_family, k):
-    # a negative k would slice from the end: the last coefficients, or the tail bias of K + k;
-    # k = 0 made a histogram divide by zero and the log-linear family return the bias of no
-    # model, and the histogram binned beyond max_k
+    # unchecked, a negative k slices from the end (the last coefficients, or the tail bias of
+    # K + k), k = 0 divides by zero in the histogram and gives the log-linear family the bias
+    # of an empty model, and k = max_k + 1 bins the histogram past max_k
     def dim(fam):
         return fam.max_k + 1 if k == "max_k + 1" else k
 

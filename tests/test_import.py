@@ -24,6 +24,6 @@ def test_import_loads_no_scipy():
 
 
 # only a pooled run (threads > 1) uses the process pool, and the multiprocessing
-# it pulls in took 15-22 ms of every import
+# it pulls in costs 15-22 ms of an import on a 2-core VM
 def test_import_loads_no_process_pool():
     assert _modules_after_import("concurrent.futures.process") == "[]"

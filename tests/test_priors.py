@@ -15,7 +15,7 @@ from sievecred.priors import log_prior_rows
 
 
 def test_standard_normal_at_zero():
-    assert log_prior_rows(gaussian_prior(), np.array([0.0])[None, :])[0] == pytest.approx(
+    assert log_prior_rows(gaussian_prior(), np.array([[0.0]]))[0] == pytest.approx(
         -np.log(np.sqrt(2 * np.pi))
     )
 
@@ -49,7 +49,7 @@ def test_prior_mass_integrates_to_one():
     xs = np.linspace(-12, 12, 4001)
     dx = xs[1] - xs[0]
     for prior in (gaussian_prior(), gaussian_prior(scale=0.5)):
-        mass1 = np.exp([log_prior_rows(prior, np.array([[x]]))[0] for x in xs]).sum() * dx
+        mass1 = np.exp(log_prior_rows(prior, xs[:, None])).sum() * dx
         assert mass1 == pytest.approx(1.0, abs=1e-3)
         g = np.exp(prior.logpdf(xs))
         mass2 = (np.outer(g, g)).sum() * dx * dx
