@@ -1,6 +1,6 @@
 """Adaptive sieve-prior Bayesian inference with credible-ball coverage experiments."""
 
-from .basis import DesignGrid, basis_matrix, eval_series, eval_series_grid, midpoint_design
+from .basis import basis_matrix, eval_series, eval_series_grid
 from .bias import (
     BiasProfile,
     PolishedTailParams,

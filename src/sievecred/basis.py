@@ -1,4 +1,4 @@
-"""Orthonormal bases on [0, 1] and fixed midpoint design grids.
+"""Orthonormal bases on [0, 1], their FFT sums and the midpoint design's dimension.
 
 Both basis families are orthonormal in L2[0,1] and integrate to zero, which the
 log-linear model requires. On the midpoint design x_i = (i - 1/2)/n both are
@@ -15,13 +15,12 @@ Its adjoint Phi_k'v on a grid is one rfft (`project_grid`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 BASIS_TAGS = ("trigonometric", "cosine")
-DESIGN_K_MAX = 64  # the largest dimension a midpoint design is built for, if n allows it
+DESIGN_K_MAX = 64  # classification's largest dimension, if n allows it
 
 
 def _basis_block(x: np.ndarray, start: int, stop: int, tag: str) -> np.ndarray:
@@ -120,19 +119,6 @@ def eval_series_rule(coefficients, rule, tag: str = "trigonometric") -> np.ndarr
     return np.stack([eval_series_grid(coefficients, n, t, n, tag) for t in rule.offsets], 1).ravel()
 
 
-@dataclass(frozen=True)
-class DesignGrid:
-    """The midpoint design with the basis evaluated on it, for k <= k_design."""
-
-    points: np.ndarray
-    basis_tag: str
-    k_design: int
-    _phi: np.ndarray = field(repr=False)
-
-    def phi(self, k: int) -> np.ndarray:
-        return self._phi[:, : check_dimension(k, self.k_design)]
-
-
 def check_dimension(k: int, k_max: int) -> int:
     """k, if 1 <= k <= k_max, the model's largest dimension; raises ValueError otherwise."""
     if not 1 <= k <= k_max:
@@ -141,7 +127,7 @@ def check_dimension(k: int, k_max: int) -> int:
 
 
 def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int = DESIGN_K_MAX) -> int:
-    """The k_design of `midpoint_design(n, basis_tag, k_design)`, found without building it.
+    """The largest k <= k_design with Phi_k' Phi_k = n I on the midpoints x_i = (i - 1/2)/n.
 
     It is 0 where not even phi_1 is orthonormal on the n midpoints: the
     trigonometric basis at n <= 2 (sqrt(2) cos 2 pi x vanishes at 1/4 and
@@ -152,11 +138,3 @@ def design_dimension(n: int, basis_tag: str = "trigonometric", k_design: int = D
     orthonormal = 2 * ((k + 1) // 2) < n if basis_tag == "trigonometric" else k < n
     return k if orthonormal else 0
 
-
-def midpoint_design(n: int, basis_tag: str = "trigonometric", k_design: int = DESIGN_K_MAX) -> DesignGrid:
-    """Equispaced midpoint design x_i = (i - 1/2)/n, on which Phi_k' Phi_k = n I for k <= k_design."""
-    k_design = design_dimension(n, basis_tag, k_design)
-    if k_design < 1:
-        raise ValueError(f"no {basis_tag} basis function is orthonormal on n={n} midpoints")
-    points = (np.arange(n) + 0.5) / n
-    return DesignGrid(points, basis_tag, k_design, basis_matrix(points, k_design, basis_tag))

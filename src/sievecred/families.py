@@ -7,17 +7,19 @@ has two entry points: `loglik(data, k)` scores a (s, k) array of theta rows,
 and `loglik_derivs(data, k)` gives theta -> (value, gradient, Hessian). The
 histogram has neither: under its conjugate Dirichlet prior the data enter only
 through the bin `counts(data, k)`. `project`, `bias_sq`, `loglik`,
-`loglik_derivs` and `counts` raise ValueError for a k outside 1..`max_k`
-(`check_dimension`). Log-linear and classification embed theta rows through
-one `embedding_rows(block, k)` method, over which centers and draw distances
-are shared; the histogram computes its center, draw distances and bias per bin.
+`loglik_derivs`, `embedding_rows` and `counts` raise ValueError for a k
+outside 1..`max_k` (`check_dimension`). Log-linear and classification embed
+theta rows through one `embedding_rows(block, k)` method, which centers and
+draw distances share; the histogram computes them and its bias per bin.
 Density families (histogram, log-linear) share a fixed quadrature grid and
 embed the truth from its series on it; design families (regression,
 classification) observe at the n midpoints x_i = (i - 1/2)/n, on which
 Phi_k' Phi_k = n I, so regression is a Gaussian sequence model, whose dataset
-is the sufficient statistic Z = Phi_K' y / n ~ N(a, I/n). Only classification
-builds a design: regression's a = Phi_K' f0 / n is an FFT (`project_grid`),
-as is every truth series (`eval_series_grid`, `eval_series_rule`). What
+is the sufficient statistic Z = Phi_K' y / n ~ N(a, I/n). Regression's
+a = Phi_K' f0 / n is an FFT (`project_grid`), as is every truth series
+(`eval_series_grid`, `eval_series_rule`). Classification and log-linear hold
+their basis once, on the design or the nodes, as Phi' (`phi_t`, `max_k` rows,
+C-contiguous); each k reads its first k rows (`phi_rows`), no copy. What
 depends only on the truth (its design or node series, CDF table, normalizer,
 histogram cell integrals, regression's a and residual) is computed once per
 truth and kept in the family's memo; what depends only on one dataset (the
@@ -43,7 +45,6 @@ from .basis import (
     design_dimension,
     eval_series_grid,
     eval_series_rule,
-    midpoint_design,
     project_grid,
 )
 from .metrics import SemiMetric, hellinger_hist_vs_cells, hist_cell_integrals
@@ -161,6 +162,10 @@ class _RowEmbedded(_Family):
     def bias_sq(self, truth: TruthSpec, k: int) -> float:
         projected = self.embedding_rows(self.project(truth, k)[None, :], k)[0]
         return self.metric().distance(self.truth_embedding(truth), projected) ** 2
+
+    def phi_rows(self, k: int) -> np.ndarray:
+        """Phi_k', the first k rows of `phi_t`: C-contiguous, no copy."""
+        return self.phi_t[: check_dimension(k, self.max_k)]
 
 
 class _Density(_RowEmbedded):
@@ -391,8 +396,9 @@ class LogLinear(_Density):
     tag = "loglinear"
 
     @cached_property
-    def phi_grid(self) -> np.ndarray:
-        return basis_matrix(self.rule.nodes, self.max_k, self.basis_tag)
+    def phi_t(self) -> np.ndarray:
+        """Phi' on the quadrature nodes, (`max_k`, nodes) and C-contiguous."""
+        return basis_matrix(self.rule.nodes, self.max_k, self.basis_tag).T.copy()
 
     def _log_norm_values(self, g: np.ndarray) -> float:
         m = float(g.max())
@@ -401,21 +407,20 @@ class LogLinear(_Density):
     def log_norm(self, theta) -> float:
         """c(theta) = log int exp(sum theta_j phi_j), overflow-guarded."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return self._log_norm_values(self.phi_grid[:, : theta.size] @ theta)
+        return self._log_norm_values(theta @ self.phi_t[: theta.size])
 
     def log_norm_parts(self, theta):
         """(c, E phi, Cov phi) under f_theta, all on the quadrature grid."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        k = theta.size
-        phi = self.phi_grid[:, :k]
-        g = phi @ theta
+        phi_t = self.phi_t[: theta.size]
+        g = theta @ phi_t
         m = float(g.max())
         unnorm = self.rule.weights * np.exp(g - m)
         z = float(unnorm.sum())
         c = m + np.log(z)
         w = unnorm / z  # density times quadrature weight, sums to one
-        mean = phi.T @ w
-        cov = (phi * w[:, None]).T @ phi - np.outer(mean, mean)
+        mean = phi_t @ w
+        cov = (phi_t * w) @ phi_t.T - np.outer(mean, mean)
         return c, mean, cov
 
     def _density_from_series(self, truth: TruthSpec, series: np.ndarray) -> np.ndarray:
@@ -438,7 +443,7 @@ class LogLinear(_Density):
     def loglik(self, data: Dataset, k: int):
         t_stats = self.suff_stats(data, k)
         n = data.n
-        phi_t = np.ascontiguousarray(self.phi_grid[:, :k].T)
+        phi_t = self.phi_rows(k)
         weights = self.rule.weights
 
         def loglik(thetas):
@@ -464,28 +469,30 @@ class LogLinear(_Density):
     def project(self, truth: TruthSpec, k: int) -> np.ndarray:
         """KL(theta_0, .) minimizer: matches E_{f_theta} phi_j to the truth's moments."""
         f0 = self.truth_embedding(truth)
-        m0 = self.phi_grid[:, : check_dimension(k, self.max_k)].T @ (self.rule.weights * f0)
+        m0 = self.phi_rows(k) @ (self.rule.weights * f0)
         x0 = np.zeros(k)
         x0[: min(k, truth.coefficients.size)] = truth.coefficients[:k]
         return _maximize(self._derivs(m0, 1), x0)
 
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
-        g = block @ self.phi_grid[:, :k].T
+        g = block @ self.phi_rows(k)
         m = g.max(axis=1, keepdims=True)
         z = np.exp(g - m) @ self.rule.weights
         return np.exp(g - m - np.log(z)[:, None])
 
 
 class Classification(_RowEmbedded):
-    """Fixed-design binary responses with the logistic link, on a midpoint design."""
+    """Binary responses with the logistic link; `phi_t` is Phi' at the n midpoints, (`max_k`, n)."""
 
     tag = "classification"
 
     def __init__(self, n: int, basis_tag: str = "trigonometric"):
         super().__init__()
-        self.design = midpoint_design(n, basis_tag)
-        self.basis_tag = basis_tag
-        self.n, self.max_k = n, self.design.k_design
+        self.n, self.basis_tag = n, basis_tag
+        self.max_k = max_dimension(self.tag, n, basis_tag)
+        if self.max_k < 1:
+            raise ValueError(f"no {basis_tag} basis function is orthonormal on n={n} midpoints")
+        self.phi_t = basis_matrix((np.arange(n) + 0.5) / n, self.max_k, basis_tag).T.copy()
 
     def truth_embedding(self, truth: TruthSpec) -> np.ndarray:
         return self._per_truth(truth, "design", lambda: _logistic(
@@ -496,7 +503,7 @@ class Classification(_RowEmbedded):
         return (rng.random(n) < self.truth_embedding(truth)).astype(float)
 
     def loglik(self, data: Dataset, k: int):
-        phi_t = np.ascontiguousarray(self.design.phi(k).T)
+        phi_t = self.phi_rows(k)
         y = data.y
 
         def loglik(thetas):
@@ -506,15 +513,15 @@ class Classification(_RowEmbedded):
         return loglik
 
     def loglik_derivs(self, data: Dataset, k: int):
-        phi = self.design.phi(k)
+        phi_t = self.phi_rows(k)
         y = data.y
 
         def derivs(theta):
-            f = phi @ theta
+            f = theta @ phi_t
             q = _logistic(f)
             value = float(y @ f - _softplus(f).sum())
-            grad = phi.T @ (y - q)
-            hess = -(phi * (q * (1.0 - q))[:, None]).T @ phi
+            grad = phi_t @ (y - q)
+            hess = -(phi_t * (q * (1.0 - q))) @ phi_t.T
             return value, grad, hess
 
         return derivs
@@ -532,11 +539,11 @@ class Classification(_RowEmbedded):
         return SemiMetric("empirical_hellinger")
 
     def embedding_rows(self, block: np.ndarray, k: int) -> np.ndarray:
-        return _logistic(block @ self.design.phi(k).T)
+        return _logistic(block @ self.phi_rows(k))
 
 
 def max_dimension(tag: str, n: int, basis_tag: str = "trigonometric") -> int:
-    """The `max_k` of `make_family(tag, n, basis_tag)`, found without building a design."""
+    """The `max_k` of `make_family(tag, n, basis_tag)`, found without building the family."""
     if tag in DESIGN_FAMILY_TAGS:
         return design_dimension(n, basis_tag, n if tag == "regression" else DESIGN_K_MAX)
     return _Density.max_k

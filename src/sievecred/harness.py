@@ -52,7 +52,7 @@ class ExperimentConfig:
     beta: float = 1.0
     L0: float = 1.0
     generator: str = "self_similar"
-    truth_coefficients: tuple = ()  # used when generator == "explicit"
+    truth_coefficients: tuple = ()  # generator "explicit" only
     truth_length: int = 4096
     n_grid: tuple = (2000,)
     replicates: int = 200
@@ -89,8 +89,8 @@ class ExperimentConfig:
             checks = (
                 (not not_ints, f"not an integer: {', '.join(not_ints)}"),
                 (self.generator in GENERATOR_TAGS, f"unknown generator {self.generator!r}"),
-                (self.generator != "explicit" or bool(self.truth_coefficients),
-                 "explicit truths need truth_coefficients"),
+                ((self.generator == "explicit") == bool(self.truth_coefficients),
+                 "explicit truths need truth_coefficients, and only they take them"),
                 (all(map(math.isfinite, self.truth_coefficients)),
                  "truth_coefficients must be finite"),
                 (all(map(math.isfinite, (self.beta, *self.L_grid, *self.tradeoff_M))),

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-METRIC_KINDS = ("l2", "hellinger", "empirical_hellinger")
-
 
 @dataclass(frozen=True)
 class SemiMetric:

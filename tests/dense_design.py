@@ -8,7 +8,7 @@ to Z, and check the closed forms against y.
 
 import numpy as np
 
-from sievecred.basis import eval_series_grid
+from sievecred.basis import basis_matrix, eval_series_grid
 from sievecred.families import Dataset
 
 
@@ -30,6 +30,11 @@ def _exact_columns(k, n, shift, tag):
             sine = j[block] % 2 == 0
             values[:, sine] = np.sin(angle[:, sine])
         yield block, np.sqrt(2.0) * values
+
+
+def midpoint_basis(n, k, tag="trigonometric"):
+    """Phi_k at the midpoints x_i = (i + 1/2)/n, i < n, by `basis_matrix`."""
+    return basis_matrix((np.arange(n) + 0.5) / n, k, tag)
 
 
 def exact_basis_product(v, k, n, shift, tag):

@@ -26,20 +26,17 @@ from sievecred import (
     marginal_likelihood,
     marginal_table,
     mmle,
-    posterior_center,
     prior_from_config,
     run_coverage,
     run_negative,
     run_rate,
-    sample_given_k,
     tradeoff_set,
 )
-from sievecred.basis import midpoint_design
 from sievecred.inference import _laplace_fit
 from sievecred.mcmc import McmcSettings, adaptive_rwm
 from sievecred.priors import log_prior_rows
 
-from dense_design import responses
+from dense_design import midpoint_basis, responses
 
 BASE_SEED = 20260808
 
@@ -108,7 +105,7 @@ def test_criterion_03_mcmc_and_laplace_validation():
     prior = gaussian_prior()
 
     # exact posterior for reference
-    phi = midpoint_design(500).phi(k)
+    phi = midpoint_basis(500, k)
     prec = phi.T @ phi + np.eye(k)
     mean = np.linalg.solve(prec, phi.T @ y)
     cov = np.linalg.inv(prec)

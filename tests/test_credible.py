@@ -16,10 +16,9 @@ from sievecred import (
     sample_given_k,
     wilson_interval,
 )
-from sievecred.basis import midpoint_design
 from sievecred.inference import PosteriorDraws
 
-from dense_design import responses
+from dense_design import midpoint_basis, responses
 
 
 def _coef_draws(values):
@@ -70,7 +69,7 @@ def test_radius_against_exact_gaussian_posterior_oracle():
     r = credible_radius(draws, center, fam, 0.05)
 
     # oracle: 10^6 draws from the closed-form posterior, distances to the same center
-    phi = midpoint_design(300).phi(k)
+    phi = midpoint_basis(300, k)
     prec = phi.T @ phi + np.eye(k)
     mean = np.linalg.solve(prec, phi.T @ y)
     chol_cov = np.linalg.cholesky(np.linalg.inv(prec))
@@ -101,7 +100,6 @@ def test_empirical_conjugate_radius_within_its_chi2_interval():
     for basis in ("trigonometric", "cosine"):
         for n in (300, 2000):
             fam = make_family("regression", n=n, basis_tag=basis)
-            design = midpoint_design(n, basis)
             truth = generate_truth("self_similar", beta=1.0, seed=51, basis_tag=basis)
             p = n + 1.0  # N(0, 1) prior
             for rep in range(5):
@@ -110,7 +108,7 @@ def test_empirical_conjugate_radius_within_its_chi2_interval():
                     draws = sample_given_k(fam, gaussian_prior(), data, k, count, seed=[53, rep, k])
                     center = posterior_center(draws, fam)
                     r = credible_radius(draws, center, fam, alpha)
-                    delta = np.linalg.norm(center - design.phi(k).T @ y / p)
+                    delta = np.linalg.norm(center - midpoint_basis(n, k, basis).T @ y / p)
                     lo = np.sqrt(chi2.ppf(u_lo, k) / p) - delta
                     hi = np.sqrt(chi2.ppf(u_hi, k) / p) + delta
                     assert lo <= r <= hi, (basis, n, rep, k)

@@ -7,15 +7,15 @@ from scipy.stats import norm
 from sievecred import gauss_legendre_rule, generate_truth, make_family
 from sievecred.basis import (
     basis_matrix,
+    design_dimension,
     eval_series,
     eval_series_grid,
-    midpoint_design,
     project_grid,
 )
 from sievecred.families import Dataset, _logistic, _softplus, max_dimension
 from sievecred.inference import PosteriorDraws, posterior_center
 
-from dense_design import responses
+from dense_design import midpoint_basis, responses
 
 
 def _uniform_hist_truth():
@@ -60,7 +60,7 @@ def test_loglinear_simulation_matches_truth_moments(loglin_family):
     data = loglin_family.simulate(truth, n, seed=9)
     # E phi_1 under f_0 from quadrature vs the sample mean
     target = loglin_family.rule.integrate(
-        loglin_family.truth_embedding(truth) * loglin_family.phi_grid[:, 0]
+        loglin_family.truth_embedding(truth) * loglin_family.phi_t[0]
     )
     sample = loglin_family.suff_stats(data, 1)[0] / n
     assert sample == pytest.approx(target, abs=4 / np.sqrt(n))
@@ -128,7 +128,7 @@ def test_classification_loglik_additive_over_points(classif500):
     truth = generate_truth("self_similar", beta=1.0, seed=3, family_tag="classification")
     data = classif500.simulate(truth, 500, seed=6)
     theta = np.array([0.3, -0.2])
-    f = classif500.design.phi(2) @ theta
+    f = theta @ classif500.phi_t[:2]
     direct = float(np.sum(data.y * np.log(1 / (1 + np.exp(-f)))
                           + (1 - data.y) * np.log(1 - 1 / (1 + np.exp(-f)))))
     got = classif500.loglik(data, theta.size)(theta[None, :])[0]
@@ -139,12 +139,11 @@ def test_regression_loglik_ratio_identity(reg500, truth_b1, rng):
     # l(theta) - l(theta') = -(n/2) d_n^2(theta, theta') + residual cross term, for
     # the responses y that Z reduces
     y, data = responses(reg500, truth_b1, 31)
-    design = midpoint_design(500)
     for _ in range(5):
         k = int(rng.integers(1, 6))
         theta = rng.standard_normal(k)
         theta_ref = rng.standard_normal(k)
-        phi = design.phi(k)
+        phi = midpoint_basis(500, k)
         lhs = (reg500.loglik(data, theta.size)(theta[None, :])[0]
                - reg500.loglik(data, theta_ref.size)(theta_ref[None, :])[0])
         d2 = np.mean((phi @ (theta - theta_ref)) ** 2)
@@ -217,12 +216,14 @@ def test_regression_projection_out_of_range_raises(reg500):
 def test_dimensions_below_one_raise(reg500, classif500, hist_family, loglin_family, k):
     # unchecked, a negative k slices from the end (the last coefficients, or the tail bias of
     # K + k), k = 0 divides by zero in the histogram and gives the log-linear family the bias
-    # of an empty model, and k = max_k + 1 bins the histogram past max_k
+    # of an empty model, and k = max_k + 1 bins the histogram past max_k; a slice of `phi_t`
+    # holds max_k - 1 rows at k = -1 and max_k at k = max_k + 1, which a block that wide fits
     def dim(fam):
         return fam.max_k + 1 if k == "max_k + 1" else k
 
     for fam, data_calls in ((reg500, ("loglik",)), (hist_family, ("counts",)),
-                            (loglin_family, ("loglik", "loglik_derivs", "suff_stats"))):
+                            (loglin_family, ("loglik", "loglik_derivs", "suff_stats")),
+                            (classif500, ("loglik", "loglik_derivs"))):
         truth = generate_truth("self_similar", beta=1.0, seed=1, family_tag=fam.tag)
         data = fam.simulate(truth, 500, seed=1)
         for call in (fam.project, fam.bias_sq):
@@ -231,8 +232,10 @@ def test_dimensions_below_one_raise(reg500, classif500, hist_family, loglin_fami
         for name in data_calls:
             with pytest.raises(ValueError, match="outside the model range"):
                 getattr(fam, name)(data, dim(fam))
-    with pytest.raises(ValueError, match="outside the model range"):
-        classif500.design.phi(dim(classif500))
+    for fam in (loglin_family, classif500):
+        block = np.zeros((1, len(fam.phi_t[: dim(fam)])))
+        with pytest.raises(ValueError, match="outside the model range"):
+            fam.embedding_rows(block, dim(fam))
 
 
 DESIGN_SIZES = [3, 5, 200, 2000, 8000, 32000]
@@ -248,12 +251,13 @@ def test_regression_dataset_product_matches_the_per_k_product(basis, n):
     y = eval_series_grid(truth.coefficients, n, 0.5, tag=basis)
     y = y + np.random.default_rng(4).standard_normal(n)
     data = Dataset("regression", project_grid(y, fam.max_k, n, 0.5, basis) / n, n)
-    design = midpoint_design(n, basis)
+    k_design = design_dimension(n, basis)
+    phi = midpoint_basis(n, k_design, basis)
     bound = 1e-14 * np.linalg.norm(y) * np.sqrt(n)
-    for k in range(1, design.k_design + 1):
+    for k in range(1, k_design + 1):
         phi_y, zz, _ = fam._quadratic(data, k)
         assert phi_y.shape == (k,)
-        assert np.max(np.abs(design.phi(k).T @ y - phi_y)) <= bound, k
+        assert np.max(np.abs(phi[:, :k].T @ y - phi_y)) <= bound, k
         assert zz == n * float(data.y @ data.y)
 
 
@@ -262,14 +266,15 @@ def test_regression_dataset_product_matches_the_per_k_product(basis, n):
 def test_regression_coefficient_bias_matches_the_design_residual(basis, n):
     # b(k) = r_K + sum_{k<j<=K} a_j^2 against |f0 - Phi_k Phi_k'f0/n|^2/n on the design
     fam = make_family("regression", n=n, basis_tag=basis)
-    design = midpoint_design(n, basis)
+    k_design = design_dimension(n, basis)
+    phi_design = midpoint_basis(n, k_design, basis)
     for truth in (generate_truth("self_similar", beta=1.0, seed=11, basis_tag=basis),
                   generate_truth("explicit", beta=1.0, coefficients=[0.5, -0.3, 0.2],
                                  basis_tag=basis)):
         f0 = eval_series_grid(truth.coefficients, n, 0.5, tag=basis)
         bound = 1e-14 * np.linalg.norm(f0) * np.sqrt(n) / n
-        for k in range(1, design.k_design + 1):
-            phi = design.phi(k)
+        for k in range(1, k_design + 1):
+            phi = phi_design[:, :k]
             a = phi.T @ f0 / n
             r = f0 - phi @ a
             case = (truth.generator_tag, k)
@@ -344,7 +349,7 @@ def test_loglinear_projection_matches_moments(loglin_family):
     k = 4
     theta = loglin_family.project(truth, k)
     f0 = loglin_family.truth_embedding(truth)
-    m0 = loglin_family.phi_grid[:, :k].T @ (loglin_family.rule.weights * f0)
+    m0 = loglin_family.phi_t[:k] @ (loglin_family.rule.weights * f0)
     _, mean, _ = loglin_family.log_norm_parts(theta)
     assert np.allclose(mean, m0, atol=1e-8)
 
@@ -355,7 +360,7 @@ def test_classification_projection_moment_system(classif500):
     theta = classif500.project(truth, k)
     q0 = classif500.truth_embedding(truth)
     q = classif500.embedding_rows(theta[None, :], k)[0]
-    residual = classif500.design.phi(k).T @ (q0 - q)
+    residual = classif500.phi_t[:k] @ (q0 - q)
     assert np.max(np.abs(residual)) < 1e-6 * 500
 
 

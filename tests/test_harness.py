@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -116,6 +115,9 @@ def test_config_validation():
         {"L_grid": (float("inf"),)},
         {"beta": float("inf")},
         {"tradeoff_M": (float("inf"),)},
+        # coefficients that a generated truth would silently drop
+        {"generator": "self_similar", "truth_coefficients": (5.0, -3.0)},
+        {"generator": "sobolev_draw", "truth_coefficients": (5.0,)},
     ]
     for bad in bad_values:
         with pytest.raises(ValueError, match="invalid config"):

@@ -23,13 +23,12 @@ from sievecred import (
 )
 import sievecred.families as families
 import sievecred.harness as harness
-from sievecred.basis import midpoint_design
 from sievecred.families import FAMILY_TAGS, Dataset, max_dimension
 from sievecred.inference import MARGINAL_METHODS, _regression_conjugate, route
 from sievecred.mcmc import McmcSettings
 from sievecred.priors import SievePrior, default_k_cap
 
-from dense_design import exact_basis_product, exact_basis_series, responses
+from dense_design import exact_basis_product, exact_basis_series, midpoint_basis, responses
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +41,7 @@ def test_regression_evidence_single_point_closed_form():
     # is that normal density at Z
     fam = make_family("regression", n=3)
     y = np.array([0.3, -1.2, 0.7])
-    phi = midpoint_design(3).phi(1)[:, 0]
+    phi = midpoint_basis(3, 1)[:, 0]
     z = phi @ y / 3
     data = Dataset("regression", [z], 3)
     log_m, method, _ = marginal_likelihood(fam, gaussian_prior(), data, 1)
@@ -111,13 +110,12 @@ def test_conjugate_closed_form_is_the_dense_reference(n, truth_b1):
     # y-likelihood's |y|^2 and n/2 log 2 pi are Z's n|Z|^2 and (K/2) log(2 pi/n)
     for basis in ("trigonometric", "cosine"):
         fam = make_family("regression", n=n, basis_tag=basis)
-        design = midpoint_design(n, basis)
         data = fam.simulate(truth_b1, n, seed=21)
         z = data.y
         sieve = prior_from_config({}, "regression", n)
         table = marginal_table(fam, sieve, data)
         for k in range(1, sieve.hyper.k_cap + 1):
-            phi = design.phi(k)
+            phi = midpoint_basis(n, k, basis)
             chol = np.linalg.cholesky(phi.T @ phi + np.eye(k))
             half = np.linalg.solve(chol, n * z[:k])
             log_det = 2.0 * float(np.log(np.diag(chol)).sum())
@@ -288,7 +286,7 @@ def test_conjugate_regression_sampler_matches_closed_form(reg500, truth_b1):
     draws = sample_given_k(reg500, gaussian_prior(), data, k, 40_000, seed=2)
     assert draws.diagnostics["sampler"] == "conjugate"
     # independent closed form
-    phi = midpoint_design(500).phi(k)
+    phi = midpoint_basis(500, k)
     prec = phi.T @ phi + np.eye(k)
     mean = np.linalg.solve(prec, phi.T @ y)
     cov = np.linalg.inv(prec)
@@ -334,7 +332,7 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     chain, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, 12_000,
                                McmcSettings(burn_in=2000), rng)
     assert 0.05 < diag["acceptance_rate"] < 0.6
-    phi = midpoint_design(500).phi(k)
+    phi = midpoint_basis(500, k)
     prec = phi.T @ phi + np.eye(k)
     mean = np.linalg.solve(prec, phi.T @ y)
     batches = chain.reshape(20, -1, k).mean(axis=1)
@@ -414,7 +412,7 @@ def test_center_matches_conjugate_mean_function(reg500, truth_b1):
     k = 4
     draws = sample_given_k(reg500, gaussian_prior(), data, k, 60_000, seed=31)
     center = posterior_center(draws, reg500)
-    phi = midpoint_design(500).phi(k)
+    phi = midpoint_basis(500, k)
     prec = phi.T @ phi + np.eye(k)
     mean_fn = phi @ np.linalg.solve(prec, phi.T @ y)
     got = phi @ center
