@@ -1,12 +1,11 @@
 """Adaptive sieve-prior Bayesian inference with credible-ball coverage experiments."""
 
-from .basis import basis_matrix, eval_series, eval_series_grid
+from .basis import basis_matrix, eval_series_grid
 from .bias import (
     BiasProfile,
     PolishedTailParams,
     bias_profile,
     check_polished_tail,
-    l2_bias_profile,
     tradeoff_set,
 )
 from .credible import credible_radius, wilson_interval
@@ -43,9 +42,8 @@ from .priors import (
     gaussian_prior,
     hyper_prior,
     prior_from_config,
-    sample_prior,
 )
 from .quadrature import DEFAULT_RULE, QuadratureRule, gauss_legendre_rule
-from .truths import TruthSpec, generate_truth, sobolev_norm_sq, truth_from_json, truth_to_json
+from .truths import TruthSpec, generate_truth, sobolev_norm_sq, truth_to_json
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ the cosine one (`design_dimension`). Under that condition the Gram matrix
 Phi_k' Phi_k is n I, and regression uses it in closed form.
 
 Long series sum_j c_j phi_j are summed by FFT, on a grid (`eval_series_grid`)
-or a Gauss rule (`eval_series_rule`); `eval_series` is the tests' reference.
+or a Gauss rule (`eval_series_rule`); the tests sum them term by term.
 Its adjoint Phi_k'v on a grid is one rfft (`project_grid`).
 """
 
@@ -48,20 +48,6 @@ def basis_matrix(x, k: int, tag: str = "trigonometric") -> np.ndarray:
     return _basis_block(x, 0, k, tag)
 
 
-def eval_series(x, coefficients, tag: str = "trigonometric", chunk: int = 512) -> np.ndarray:
-    """Evaluate sum_j c_j phi_j(x) term by term: the tests' reference for the FFT sums.
-
-    Works in column blocks so an n x 4096 basis matrix is never materialized.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    coefficients = np.asarray(coefficients, dtype=float)
-    total = np.zeros(x.size)
-    for start in range(0, coefficients.size, chunk):
-        stop = min(start + chunk, coefficients.size)
-        total += _basis_block(x, start, stop, tag) @ coefficients[start:stop]
-    return total
-
-
 @lru_cache(maxsize=8)
 def _fft_modes(k: int, N: int, shift: float, tag: str):
     """(m mod 2N, w exp(i pi m shift/N)) of phi_1 .. phi_k, read-only; see `eval_series_grid`."""
@@ -81,7 +67,7 @@ def _fft_modes(k: int, N: int, shift: float, tag: str):
 
 def eval_series_grid(coefficients, N: int, shift: float = 0.0, count: int | None = None,
                      tag: str = "trigonometric") -> np.ndarray:
-    """`eval_series` at x_i = (i + shift)/N for i < count <= 2N, by one FFT of length 2N.
+    """sum_j c_j phi_j(x_i) at x_i = (i + shift)/N for i < count <= 2N, by one FFT of length 2N.
 
     Each basis function is sqrt(2) Re(w exp(i pi m x)) for an integer m and a
     weight w: m = 2 ceil(j/2) with w = 1 (cosine term) or -i (sine term) for
@@ -114,7 +100,7 @@ def project_grid(values, k: int, N: int, shift: float = 0.0,
 
 
 def eval_series_rule(coefficients, rule, tag: str = "trigonometric") -> np.ndarray:
-    """`eval_series` at a composite rule's nodes: those at in-cell offset t are one grid."""
+    """The series at a composite rule's nodes: those at in-cell offset t are one grid."""
     n = rule.n_cells
     return np.stack([eval_series_grid(coefficients, n, t, n, tag) for t in rule.offsets], 1).ravel()
 

@@ -76,15 +76,6 @@ def bias_profile(truth, family, k_max: int, n: int) -> BiasProfile:
     return BiasProfile(values=values, n=n, k_max=k_max)
 
 
-def l2_bias_profile(coefficients, n: int, k_max: int) -> BiasProfile:
-    """Exact l2 bias b(k) = sum_{i>k} theta_i^2 for a coefficient sequence."""
-    c = np.asarray(coefficients, dtype=float)
-    sq = c**2
-    tail = np.concatenate([sq[::-1].cumsum()[::-1], [0.0]])  # tail[j] = sum_{i>j} theta_i^2
-    values = {k: float(tail[k]) if k < tail.size else 0.0 for k in range(1, k_max + 1)}
-    return BiasProfile(values=values, n=n, k_max=k_max)
-
-
 def tradeoff_set(profile: BiasProfile, M: float) -> set[int]:
     """{k evaluated: eps_n(k) <= M eps_n(k_n)}."""
     if M < 1:

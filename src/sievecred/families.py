@@ -96,8 +96,16 @@ class Dataset(Memo):
 
 
 def _softplus(f: np.ndarray) -> np.ndarray:
-    """log(1 + e^f) elementwise, as np.logaddexp(0, f) but by vector kernels; cannot overflow."""
-    return np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
+    """log(1 + e^f) elementwise, as np.logaddexp(0, f) but by vector kernels; cannot overflow.
+
+    The kernels run in place on one buffer: a likelihood call that scores
+    several chains' rows at once spent more on fresh temporaries than on them.
+    """
+    out = np.abs(f)
+    for kernel in (np.negative, np.exp, np.log1p):
+        kernel(out, out=out)
+    out += np.maximum(f, 0.0)
+    return out
 
 
 def _logistic(f: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ Everything else goes through a Laplace approximation at the posterior mode,
 optionally corrected by importance sampling with the Laplace Gaussian as
 proposal; regression can take either, to check it against the exact evidence.
 Within-model sampling is exact where conjugacy allows and otherwise uses
-adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian.
+adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian;
+a hierarchical draw steps the chains of all its k together, one likelihood
+call per step at the largest k scoring every chain's zero-padded row.
 `route` decides which of these a family and prior take. What depends only on
 one dataset is made once and kept in the dataset's memo: each Laplace fit,
 once per prior and k, so the evidence table, the importance route and every
@@ -303,6 +305,28 @@ def k_posterior(table: MarginalLikelihoodTable, hyper) -> KPosterior:
     return KPosterior(np.array(table.ks), probs / probs.sum())
 
 
+def _rwm_blocks(family, prior: ConditionalPrior, data: Dataset, ks, keeps, seeds, mcmc):
+    """Preconditioned RWM chains given each k in `ks`, stepped together: (blocks, diagnostics).
+
+    Chain k starts at its Laplace mode, proposes with the inverse curvature
+    there and draws from `default_rng(seeds[i])`. One likelihood at the
+    largest k scores every chain's zero-padded rows: the sieve is nested, and
+    the prior's padded entries add a constant per chain.
+    """
+    fits = [_laplace_fit(family, prior, data, k) for k in ks]
+    loglik = family.loglik(data, max(ks))
+    blocks, diagnostics = adaptive_rwm(
+        lambda rows: loglik(rows) + log_prior_rows(prior, rows),
+        [fit[0] for fit in fits],
+        [np.linalg.inv(fit[1]).T for fit in fits],  # proposal covariance = inverse curvature
+        keeps, mcmc or McmcSettings(),
+        [np.random.default_rng(_seed_list(seed)) for seed in seeds],
+    )
+    for diag in diagnostics:
+        diag["sampler"] = "rwm"
+    return blocks, diagnostics
+
+
 def sample_given_k(
     family,
     prior: ConditionalPrior,
@@ -313,28 +337,17 @@ def sample_given_k(
     mcmc: Optional[McmcSettings] = None,
 ) -> PosteriorDraws:
     """Exact draws on the exact routes, preconditioned RWM on the laplace route."""
-    rng = np.random.default_rng(_seed_list(seed))
     sampler = route(family.tag, prior)
+    if sampler == "laplace":
+        (block,), (diag,) = _rwm_blocks(family, prior, data, [k], [count], [seed], mcmc)
+        return PosteriorDraws({k: block}, diagnostics=diag)
+    rng = np.random.default_rng(_seed_list(seed))
     if sampler == "conjugate":
         mean, p, _ = _regression_conjugate(family, prior, data, k)
         block = mean + rng.standard_normal((count, k)) / np.sqrt(p)
-        diag = {"sampler": "conjugate"}
-    elif sampler == "dirichlet":
-        block = rng.dirichlet(prior.alpha + family.counts(data, k), size=count)
-        diag = {"sampler": "dirichlet"}
     else:
-        mode, chol, _, _ = _laplace_fit(family, prior, data, k)
-        # proposal covariance = inverse curvature at the mode
-        cov_chol = np.linalg.inv(chol).T
-        loglik = family.loglik(data, k)
-
-        def log_target(theta):
-            row = theta[None, :]
-            return (loglik(row) + log_prior_rows(prior, row))[0]
-
-        block, diag = adaptive_rwm(log_target, mode, cov_chol, count, mcmc or McmcSettings(), rng)
-        diag["sampler"] = "rwm"
-    return PosteriorDraws({k: block}, diagnostics=diag)
+        block = rng.dirichlet(prior.alpha + family.counts(data, k), size=count)
+    return PosteriorDraws({k: block}, diagnostics={"sampler": sampler})
 
 
 def sample_hierarchical(
@@ -347,29 +360,32 @@ def sample_hierarchical(
     *,
     table: MarginalLikelihoodTable,
 ) -> PosteriorDraws:
-    """Composition sampling: k from the k-posterior of `table`, then theta given k."""
+    """Composition sampling: k from the k-posterior of `table`, then theta given k.
+
+    Given k, the exact routes draw `c_k` values. The laplace route runs one
+    chain per k in the sample, all stepped together, each keeping at least
+    `min_chain` states and thinned to `c_k`. Chain k draws from the stream
+    `seed + [k]` either way, as `sample_given_k` would.
+    """
     base = _seed_list(seed)
     kpost = k_posterior(table, prior.hyper)
     rng = np.random.default_rng(base + [104729])
-    ks = rng.choice(kpost.ks, size=count, p=kpost.probs)
-    exact = route(family.tag, prior.conditional) != "laplace"
-    min_chain = 1 if exact else 256  # short MCMC chains mix and diagnose poorly
-    blocks: dict[int, np.ndarray] = {}
-    samplers = {}
-    for k in np.unique(ks):
-        c_k = int((ks == k).sum())
-        child = sample_given_k(
-            family, prior.conditional, data, int(k), max(c_k, min_chain),
-            base + [int(k)], mcmc=mcmc,
-        )
-        block = child.blocks[int(k)]
-        if block.shape[0] > c_k:
-            idx = np.linspace(0, block.shape[0] - 1, c_k).round().astype(int)
-            block = block[idx]
-        blocks[int(k)] = block
-        samplers[int(k)] = child.diagnostics
-    diagnostics = {"k_posterior": kpost.mass(), "samplers": samplers}
-    return PosteriorDraws(blocks, diagnostics=diagnostics)
+    ks, counts = np.unique(rng.choice(kpost.ks, size=count, p=kpost.probs), return_counts=True)
+    ks, counts = ks.tolist(), counts.tolist()
+    if ks and route(family.tag, prior.conditional) == "laplace":  # count 0 runs no chain
+        min_chain = 256  # short MCMC chains mix and diagnose poorly
+        keeps = [max(c_k, min_chain) for c_k in counts]
+        chains, samplers = _rwm_blocks(family, prior.conditional, data, ks, keeps,
+                                       [base + [k] for k in ks], mcmc)
+        blocks = [chain[np.linspace(0, keep - 1, c_k).round().astype(int)] if keep > c_k else chain
+                  for chain, keep, c_k in zip(chains, keeps, counts)]
+    else:
+        children = [sample_given_k(family, prior.conditional, data, k, c_k, base + [k])
+                    for k, c_k in zip(ks, counts)]
+        blocks = [child.blocks[k] for k, child in zip(ks, children)]
+        samplers = [child.diagnostics for child in children]
+    diagnostics = {"k_posterior": kpost.mass(), "samplers": dict(zip(ks, samplers))}
+    return PosteriorDraws(dict(zip(ks, blocks)), diagnostics=diagnostics)
 
 
 def posterior_center(draws: PosteriorDraws, family) -> np.ndarray:

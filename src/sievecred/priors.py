@@ -71,15 +71,6 @@ def log_prior_rows(prior: ConditionalPrior, thetas: np.ndarray) -> np.ndarray:
     return prior.logpdf(thetas).sum(axis=1)
 
 
-def sample_prior(prior: ConditionalPrior, k: int, count: int, seed) -> np.ndarray:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if prior.kind == "gaussian":
-        return rng.normal(0.0, prior.scale, size=(count, k))
-    return rng.dirichlet(np.full(k, prior.alpha), size=count)
-
-
 @dataclass(frozen=True)
 class HyperPrior:
     kind: str  # "geometric" or "poisson"

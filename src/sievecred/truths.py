@@ -108,32 +108,6 @@ def _rescale_for_positivity(theta: np.ndarray, basis_tag: str) -> np.ndarray:
     return theta
 
 
-def validate_truth(truth: TruthSpec, basis_tag: str = "trigonometric") -> dict:
-    """Check the generator's class membership; returns a small report."""
-    c = truth.coefficients
-    i = np.arange(1, c.size + 1, dtype=float)
-    report = {"family": truth.family_tag, "generator": truth.generator_tag}
-    if truth.generator_tag == "sobolev_draw":
-        norm = sobolev_norm_sq(c, truth.beta)
-        report["sobolev_norm_sq"] = norm
-        report["in_class"] = bool(norm <= truth.L0)
-    elif truth.generator_tag == "self_similar":
-        env = i ** (-truth.beta - 0.5)
-        ratio = np.abs(c) / env
-        lo, hi = ratio.min(), ratio.max()
-        report["envelope_ratio"] = (float(lo), float(hi))
-        L = max(truth.L0, 1.0)
-        report["in_class"] = bool(lo >= 1.0 / L - 1e-12 and hi <= L + 1e-12)
-    else:
-        report["in_class"] = True
-    if truth.family_tag == "histogram":
-        dens = 1.0 + eval_series_grid(c, POSITIVITY_CELLS, 0.5, tag=basis_tag)
-        report["density_min"] = float(dens.min())
-        report["density_max"] = float(dens.max())
-        report["in_class"] = bool(report["in_class"] and dens.min() > 0)
-    return report
-
-
 def truth_to_json(truth: TruthSpec, path=None) -> str:
     payload = {
         "family": truth.family_tag,
@@ -147,20 +121,3 @@ def truth_to_json(truth: TruthSpec, path=None) -> str:
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def truth_from_json(source) -> TruthSpec:
-    if isinstance(source, (str, bytes)) and not str(source).lstrip().startswith("{"):
-        with open(source) as fh:
-            payload = json.load(fh)
-    elif isinstance(source, dict):
-        payload = source
-    else:
-        payload = json.loads(source)
-    return TruthSpec(
-        coefficients=np.asarray(payload["coefficients"], dtype=float),
-        family_tag=payload["family"],
-        beta=float(payload["beta"]),
-        L0=float(payload["L0"]),
-        generator_tag=payload["generator"],
-    )

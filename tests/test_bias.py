@@ -7,11 +7,12 @@ from sievecred import (
     bias_profile,
     check_polished_tail,
     generate_truth,
-    l2_bias_profile,
     make_family,
     tradeoff_set,
 )
 from sievecred.bias import ZERO_BIAS_TOL, polished_tail_verdict
+
+from oracles import l2_bias_profile
 
 
 def _power_law_coeffs(exponent, length=4096):

@@ -8,7 +8,6 @@ from sievecred import gauss_legendre_rule, generate_truth, make_family
 from sievecred.basis import (
     basis_matrix,
     design_dimension,
-    eval_series,
     eval_series_grid,
     project_grid,
 )
@@ -16,6 +15,7 @@ from sievecred.families import Dataset, _logistic, _softplus, max_dimension
 from sievecred.inference import PosteriorDraws, posterior_center
 
 from dense_design import midpoint_basis, responses
+from oracles import eval_series
 
 
 def _uniform_hist_truth():
@@ -436,6 +436,11 @@ def test_softplus_matches_logaddexp_without_overflow():
         got = _softplus(f)
     ref = np.logaddexp(0.0, f)
     assert np.all(np.abs(got - ref) <= 4e-16 + 4e-16 * np.abs(ref))
+    # the in-place kernels give the bits of the plain expression, on rows too, and leave f alone
+    rows = f[:160_000].reshape(40, -1)
+    before = rows.copy()
+    plain = np.maximum(before, 0.0) + np.log1p(np.exp(-np.abs(before)))
+    assert np.array_equal(_softplus(rows), plain) and np.array_equal(rows, before)
 
 
 def test_logistic_saturates_without_warning():

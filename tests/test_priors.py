@@ -9,9 +9,10 @@ from sievecred import (
     gaussian_prior,
     hyper_prior,
     prior_from_config,
-    sample_prior,
 )
 from sievecred.priors import log_prior_rows
+
+from oracles import sample_prior
 
 
 def test_standard_normal_at_zero():

@@ -4,7 +4,6 @@ import pytest
 from sievecred import (
     DEFAULT_RULE,
     basis_matrix,
-    eval_series,
     eval_series_grid,
     gauss_legendre_rule,
     generate_truth,
@@ -13,6 +12,7 @@ from sievecred import (
 from sievecred.basis import design_dimension, eval_series_rule, project_grid
 
 from dense_design import exact_basis_product, midpoint_basis
+from oracles import eval_series
 
 
 def test_rule_has_512_nodes_on_unit_interval():

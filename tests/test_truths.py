@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sievecred import generate_truth, sobolev_norm_sq, truth_from_json, truth_to_json
-from sievecred.truths import validate_truth
+from sievecred import generate_truth, sobolev_norm_sq, truth_to_json
+
+from oracles import truth_from_json, validate_truth
 
 
 def test_self_similar_magnitudes():
