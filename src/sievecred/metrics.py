@@ -44,10 +44,22 @@ class SemiMetric:
         return np.sqrt(np.clip(d2, 0.0, None))
 
 
-def _bernoulli_hell_sq(q1, q2):
-    q1 = np.clip(q1, 0.0, 1.0)
-    q2 = np.clip(q2, 0.0, 1.0)
-    return (np.sqrt(q1) - np.sqrt(q2)) ** 2 + (np.sqrt(1.0 - q1) - np.sqrt(1.0 - q2)) ** 2
+def _bernoulli_hell_sq(rows, point):
+    """(sqrt q - sqrt c)^2 + (sqrt(1 - q) - sqrt(1 - c))^2, q a row and c the point, in [0, 1].
+
+    The point is clipped and rooted once, the rows in two buffers in place:
+    the bits of the plain expression, without its dozen (rows x n) temporaries.
+    """
+    c = np.clip(point, 0.0, 1.0)
+    root, co_root = np.sqrt(c), np.sqrt(1.0 - c)
+    out = np.clip(rows, 0.0, 1.0)
+    co = np.subtract(1.0, out)
+    for buf, center_root in ((out, root), (co, co_root)):
+        np.sqrt(buf, out=buf)
+        buf -= center_root
+        np.square(buf, out=buf)
+    out += co
+    return out
 
 
 def hist_cell_integrals(values, rule):

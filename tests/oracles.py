@@ -3,8 +3,9 @@
 `eval_series` sums a series term by term (the package sums by FFT),
 `l2_bias_profile` takes the l2 bias from the coefficients alone,
 `validate_truth` checks a generator's class membership, `truth_from_json`
-reads what `truth_to_json` wrote, and `sample_prior` draws from a
-conditional prior.
+reads what `truth_to_json` wrote, `sample_prior` draws from a
+conditional prior, and `bernoulli_hell_sq` is the per-point Bernoulli
+Hellinger as the plain expression (the package works in place).
 """
 
 import json
@@ -90,3 +91,10 @@ def sample_prior(prior: ConditionalPrior, k: int, count: int, seed) -> np.ndarra
     if prior.kind == "gaussian":
         return rng.normal(0.0, prior.scale, size=(count, k))
     return rng.dirichlet(np.full(k, prior.alpha), size=count)
+
+
+def bernoulli_hell_sq(q1, q2) -> np.ndarray:
+    """(sqrt q1 - sqrt q2)^2 + (sqrt(1 - q1) - sqrt(1 - q2))^2 after clipping both to [0, 1]."""
+    q1 = np.clip(q1, 0.0, 1.0)
+    q2 = np.clip(q2, 0.0, 1.0)
+    return (np.sqrt(q1) - np.sqrt(q2)) ** 2 + (np.sqrt(1.0 - q1) - np.sqrt(1.0 - q2)) ** 2

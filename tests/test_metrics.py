@@ -4,6 +4,8 @@ import pytest
 from sievecred import DEFAULT_RULE, SemiMetric, gauss_legendre_rule
 from sievecred.metrics import hellinger_hist_vs_cells, hist_cell_integrals
 
+from oracles import bernoulli_hell_sq
+
 
 def _metric_instances(rng):
     dens = lambda: rng.random(512) + 0.05
@@ -62,3 +64,16 @@ def test_hellinger_identical_densities_zero():
     cells = hist_cell_integrals(density(rule.nodes), rule)
     hell = hellinger_hist_vs_cells(np.full(4, 0.25), *cells)
     assert hell == pytest.approx(0.0, abs=1e-12)
+
+
+def test_empirical_hellinger_is_the_plain_expression_bit_for_bit():
+    # rows and centers reach past [0, 1] on both sides, so the clipping is checked too
+    rng = np.random.default_rng(8)
+    metric = SemiMetric("empirical_hellinger")
+    for shape in ((1, 7), (300, 500), (64, 2000)):
+        rows = rng.uniform(-0.05, 1.05, shape)
+        point = rng.uniform(-0.05, 1.05, shape[1])
+        before = rows.copy(), point.copy()
+        expected = np.sqrt(np.clip(np.mean(bernoulli_hell_sq(rows, point), axis=-1), 0.0, None))
+        assert np.array_equal(metric.distances(rows, point), expected)
+        assert np.array_equal(rows, before[0]) and np.array_equal(point, before[1])
