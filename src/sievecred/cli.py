@@ -108,8 +108,7 @@ def cmd_posterior(args):
                                ctx.stream(1, "given_k"), mcmc=ctx.mcmc)
     else:
         draws = sample_hierarchical(ctx.family, ctx.prior, data, args.count,
-                                    ctx.stream(1, "hierarchical"), mcmc=ctx.mcmc,
-                                    table=ctx.table(data, 1))
+                                    ctx.stream(1, "hierarchical"), table=ctx.table(data, 1))
     payload = {"k_counts": draws.k_counts(), "diagnostics": draws.diagnostics}
     with open(_out_path(args, "sampler_diagnostics.json"), "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True))
@@ -181,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--count", type=int, default=ExperimentConfig.draws)
-    p.add_argument("--burn-in", type=int, default=ExperimentConfig.mcmc_burn_in)
+    p.add_argument("--burn-in", type=int, default=ExperimentConfig.mcmc_burn_in,
+                   help="burn-in of the random-walk chain given --k on the laplace route; "
+                        "the hierarchical draw has none")
     p.set_defaults(func=cmd_posterior)
 
     p = sub.add_parser("credible", help="one replicate's credible ball: its coverage row")
@@ -190,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--L", type=float, default=2.0)
     p.add_argument("--count", type=int, default=ExperimentConfig.draws)
-    p.add_argument("--burn-in", type=int, default=ExperimentConfig.mcmc_burn_in)
+    p.add_argument("--burn-in", type=int, default=ExperimentConfig.mcmc_burn_in,
+                   help="burn-in of the random-walk chain given k-hat (empirical mode, laplace "
+                        "route); the hierarchical draw has none")
     p.set_defaults(func=cmd_credible)
 
     for name in _EXPERIMENTS:

@@ -219,7 +219,7 @@ def _run_replicate(ctx: _Context, rep_id: int) -> dict:
         else:
             draws = sample_hierarchical(
                 ctx.family, ctx.prior, data, cfg.draws, ctx.stream(rep_id, "hierarchical"),
-                mcmc=ctx.mcmc, table=table,
+                table=table,
             )
             kpost = k_posterior(table, ctx.prior.hyper)
             k_sel = kpost.mode()

@@ -6,10 +6,11 @@ N(b/p, I/p) given k, b = n Z_k), and the Dirichlet-multinomial formula for histo
 Everything else goes through a Laplace approximation at the posterior mode,
 optionally corrected by importance sampling with the Laplace Gaussian as
 proposal; regression can take either, to check it against the exact evidence.
-Within-model sampling is exact where conjugacy allows and otherwise uses
-adaptive random-walk Metropolis preconditioned by the Laplace-mode Hessian;
-a hierarchical draw steps the chains of all its k together, one likelihood
-call per step at the largest k scoring every chain's zero-padded row.
+Within-model sampling is exact where conjugacy allows. Otherwise the draw
+given one k (the empirical mode) is adaptive random-walk Metropolis
+preconditioned by the Laplace-mode Hessian, and the hierarchical draw takes
+each k's block by independence Metropolis-Hastings from a multivariate t on
+the Laplace fit, every block's proposals scored in one likelihood call.
 `route` decides which of these a family and prior take. What depends only on
 one dataset is made once and kept in the dataset's memo: each Laplace fit,
 once per prior and k, so the evidence table, the importance route and every
@@ -37,6 +38,7 @@ _LOG2PI = float(np.log(2.0 * np.pi))
 MARGINAL_METHODS = ("auto", "laplace", "importance")
 
 _ESS_FLOOR = 64.0  # importance sampling retries, then fails, below this effective sample size
+_IMH_DF = 5.0  # the t proposal's degrees of freedom: tails heavier than the posterior's
 
 
 def _seed_list(seed) -> list[int]:
@@ -305,28 +307,6 @@ def k_posterior(table: MarginalLikelihoodTable, hyper) -> KPosterior:
     return KPosterior(np.array(table.ks), probs / probs.sum())
 
 
-def _rwm_blocks(family, prior: ConditionalPrior, data: Dataset, ks, keeps, seeds, mcmc):
-    """Preconditioned RWM chains given each k in `ks`, stepped together: (blocks, diagnostics).
-
-    Chain k starts at its Laplace mode, proposes with the inverse curvature
-    there and draws from `default_rng(seeds[i])`. One likelihood at the
-    largest k scores every chain's zero-padded rows: the sieve is nested, and
-    the prior's padded entries add a constant per chain.
-    """
-    fits = [_laplace_fit(family, prior, data, k) for k in ks]
-    loglik = family.loglik(data, max(ks))
-    blocks, diagnostics = adaptive_rwm(
-        lambda rows: loglik(rows) + log_prior_rows(prior, rows),
-        [fit[0] for fit in fits],
-        [np.linalg.inv(fit[1]).T for fit in fits],  # proposal covariance = inverse curvature
-        keeps, mcmc or McmcSettings(),
-        [np.random.default_rng(_seed_list(seed)) for seed in seeds],
-    )
-    for diag in diagnostics:
-        diag["sampler"] = "rwm"
-    return blocks, diagnostics
-
-
 def sample_given_k(
     family,
     prior: ConditionalPrior,
@@ -338,16 +318,68 @@ def sample_given_k(
 ) -> PosteriorDraws:
     """Exact draws on the exact routes, preconditioned RWM on the laplace route."""
     sampler = route(family.tag, prior)
-    if sampler == "laplace":
-        (block,), (diag,) = _rwm_blocks(family, prior, data, [k], [count], [seed], mcmc)
-        return PosteriorDraws({k: block}, diagnostics=diag)
     rng = np.random.default_rng(_seed_list(seed))
+    if sampler == "laplace":
+        mode, chol, _, _ = _laplace_fit(family, prior, data, k)
+        loglik = family.loglik(data, k)
+
+        def log_target(theta):
+            row = theta[None, :]
+            return (loglik(row) + log_prior_rows(prior, row))[0]
+
+        # proposal covariance = inverse curvature at the mode
+        block, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, count,
+                                   mcmc or McmcSettings(), rng)
+        return PosteriorDraws({k: block}, diagnostics={**diag, "sampler": "rwm"})
     if sampler == "conjugate":
         mean, p, _ = _regression_conjugate(family, prior, data, k)
         block = mean + rng.standard_normal((count, k)) / np.sqrt(p)
     else:
         block = rng.dirichlet(prior.alpha + family.counts(data, k), size=count)
     return PosteriorDraws({k: block}, diagnostics={"sampler": sampler})
+
+
+def _imh_blocks(family, prior: ConditionalPrior, data: Dataset, ks, counts, seeds):
+    """Independence Metropolis-Hastings given each k in `ks`: (blocks, diagnostics).
+
+    Chain k runs `counts[i]` steps from its Laplace mode. Its proposals are
+    multivariate t with `_IMH_DF` degrees of freedom, centred at the mode and
+    scaled by the inverse curvature there, drawn with the uniforms of the
+    accept test from `default_rng(seeds[i])`. One likelihood at the largest k
+    scores every mode and proposal as a zero-padded row: the sieve is nested,
+    and the prior's padded entries add a constant per k, which cancels in the
+    accept ratio, as do the normalizing constants of the proposal. Each chain
+    keeps the state after every step, so there is no burn-in or thinning.
+    Raises ValueError when a mode scores non-finite.
+    """
+    fits = [_laplace_fit(family, prior, data, k) for k in ks]
+    starts = np.cumsum([len(ks)] + counts).tolist()  # rows of chain i: starts[i]:starts[i + 1]
+    rows = np.zeros((starts[-1], max(ks)))
+    log_q, log_u = [], []
+    for i, (k, c_k, seed, (mode, chol, _, _)) in enumerate(zip(ks, counts, seeds, fits)):
+        rng = np.random.default_rng(_seed_list(seed))
+        z = rng.standard_normal((c_k, k)) * np.sqrt(_IMH_DF / rng.chisquare(_IMH_DF, c_k))[:, None]
+        log_u.append(np.log(rng.random(c_k)).tolist())
+        rows[i, :k] = mode
+        rows[starts[i]:starts[i + 1], :k] = mode + np.linalg.solve(chol.T, z.T).T
+        log_q.append(-0.5 * (_IMH_DF + k) * np.log1p((z**2).sum(axis=1) / _IMH_DF))
+    log_p = family.loglik(data, max(ks))(rows) + log_prior_rows(prior, rows)
+    bad = [k for k, v in zip(ks, log_p.tolist()) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"log target not finite at the mode of k={min(bad)}")
+    blocks, diagnostics = [], []
+    for i, c_k in enumerate(counts):
+        log_w = (log_p[starts[i]:starts[i + 1]] - log_q[i]).tolist()
+        current, state, accepted, kept = float(log_p[i]), i, 0, []  # row i holds the mode
+        for j, (w, u) in enumerate(zip(log_w, log_u[i])):
+            if u < w - current:
+                current, state = w, starts[i] + j
+                accepted += 1
+            kept.append(state)
+        blocks.append(rows[kept, : ks[i]])
+        diagnostics.append({"sampler": "imh", "chain_length": c_k,
+                            "acceptance_rate": accepted / c_k})
+    return blocks, diagnostics
 
 
 def sample_hierarchical(
@@ -360,25 +392,21 @@ def sample_hierarchical(
     *,
     table: MarginalLikelihoodTable,
 ) -> PosteriorDraws:
-    """Composition sampling: k from the k-posterior of `table`, then theta given k.
+    """Composition sampling: k from the k-posterior of `table`, then `c_k` draws given k.
 
-    Given k, the exact routes draw `c_k` values. The laplace route runs one
-    chain per k in the sample, all stepped together, each keeping at least
-    `min_chain` states and thinned to `c_k`. Chain k draws from the stream
-    `seed + [k]` either way, as `sample_given_k` would.
+    The exact routes draw exactly; the laplace route takes every k's block by
+    independence Metropolis-Hastings (`_imh_blocks`). Given k, either draws
+    from the stream `seed + [k]`. No route reads `mcmc`: the keyword stays
+    only because `perfbench/replay.py` passes it.
     """
     base = _seed_list(seed)
     kpost = k_posterior(table, prior.hyper)
     rng = np.random.default_rng(base + [104729])
     ks, counts = np.unique(rng.choice(kpost.ks, size=count, p=kpost.probs), return_counts=True)
     ks, counts = ks.tolist(), counts.tolist()
-    if ks and route(family.tag, prior.conditional) == "laplace":  # count 0 runs no chain
-        min_chain = 256  # short MCMC chains mix and diagnose poorly
-        keeps = [max(c_k, min_chain) for c_k in counts]
-        chains, samplers = _rwm_blocks(family, prior.conditional, data, ks, keeps,
-                                       [base + [k] for k in ks], mcmc)
-        blocks = [chain[np.linspace(0, keep - 1, c_k).round().astype(int)] if keep > c_k else chain
-                  for chain, keep, c_k in zip(chains, keeps, counts)]
+    if ks and route(family.tag, prior.conditional) == "laplace":  # count 0 draws nothing
+        blocks, samplers = _imh_blocks(family, prior.conditional, data, ks, counts,
+                                       [base + [k] for k in ks])
     else:
         children = [sample_given_k(family, prior.conditional, data, k, c_k, base + [k])
                     for k, c_k in zip(ks, counts)]

@@ -113,12 +113,12 @@ def test_criterion_03_mcmc_and_laplace_validation():
     mode, chol, _, _ = _laplace_fit(fam, prior, data, k)
     loglik = fam.loglik(data, k)
 
-    def log_target_rows(thetas):
-        return loglik(thetas) + log_prior_rows(prior, thetas)
+    def log_target(theta):
+        return loglik(theta[None, :])[0] + log_prior_rows(prior, theta[None, :])[0]
 
-    (chain,), (diag,) = adaptive_rwm(
-        log_target_rows, [mode], [np.linalg.inv(chol).T], [20000], McmcSettings(burn_in=5000),
-        [np.random.default_rng(13)],
+    chain, diag = adaptive_rwm(
+        log_target, mode, np.linalg.inv(chol).T, 20000, McmcSettings(burn_in=5000),
+        np.random.default_rng(13),
     )
     batches = chain.reshape(20, -1, k)
     mean_se = batches.mean(axis=1).std(axis=0, ddof=1) / np.sqrt(20)

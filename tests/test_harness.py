@@ -482,6 +482,25 @@ def test_cli_commands_work_on_replicate_one(tmp_path, capsys):
         cli_main(["credible", "--n", "200", "--L", "-1", "--out-dir", str(tmp_path)])
 
 
+def test_cli_posterior_writes_each_samplers_diagnostics(tmp_path, capsys):
+    # on the laplace route a hierarchical draw takes each k's block by
+    # independence Metropolis with no burn-in; the draw given --k is a random walk
+    flags = ["posterior", "--family", "classification", "--n", "200", "--seed", "5",
+             "--count", "150", "--burn-in", "100", "--out-dir", str(tmp_path)]
+    assert cli_main(flags) == 0
+    payload = json.loads((tmp_path / "sampler_diagnostics.json").read_text())
+    assert payload == json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    samplers = payload["diagnostics"]["samplers"]
+    assert samplers.keys() == payload["k_counts"].keys()
+    for k, diag in samplers.items():
+        assert set(diag) == {"sampler", "chain_length", "acceptance_rate"}
+        assert diag["sampler"] == "imh" and diag["chain_length"] == payload["k_counts"][k]
+        assert 0.0 <= diag["acceptance_rate"] <= 1.0
+    assert cli_main(flags + ["--k", "3"]) == 0
+    diag = json.loads((tmp_path / "sampler_diagnostics.json").read_text())["diagnostics"]
+    assert diag["sampler"] == "rwm" and diag["burn_in"] == 100 and diag["chain_length"] == 150
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--tau", "1.5"], "tau must lie in"),
     (["--r0", "1"], "r0 must be"),

@@ -325,12 +325,12 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     mode, chol, _, _ = _laplace_fit(reg500, gaussian_prior(), data, k)
     loglik = reg500.loglik(data, k)
 
-    def log_target_rows(thetas):
-        return loglik(thetas) + log_prior_rows(gaussian_prior(), thetas)
+    def log_target(theta):
+        return loglik(theta[None, :])[0] + log_prior_rows(gaussian_prior(), theta[None, :])[0]
 
     rng = np.random.default_rng(11)
-    (chain,), (diag,) = adaptive_rwm(log_target_rows, [mode], [np.linalg.inv(chol).T], [12_000],
-                                     McmcSettings(burn_in=2000), [rng])
+    chain, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, 12_000,
+                               McmcSettings(burn_in=2000), rng)
     assert 0.05 < diag["acceptance_rate"] < 0.6
     phi = midpoint_basis(500, k)
     prec = phi.T @ phi + np.eye(k)
@@ -368,60 +368,79 @@ def test_adaptation_band_error():
 
     x0 = np.zeros(2)
 
-    def stuck(thetas):
-        return np.where((thetas == x0).all(axis=1), 0.0, -np.inf)
+    def stuck(theta):
+        return 0.0 if np.array_equal(theta, x0) else -np.inf
 
     with pytest.raises(AdaptationError, match="acceptance rate"):
-        adaptive_rwm(stuck, [x0], [np.eye(2)], [200], McmcSettings(burn_in=100),
-                     [np.random.default_rng(0)])
+        adaptive_rwm(stuck, x0, np.eye(2), 200, McmcSettings(burn_in=100),
+                     np.random.default_rng(0))
 
 
 def test_sampler_errors_name_the_failing_chain():
     from sievecred.mcmc import AdaptationError, adaptive_rwm
 
-    starts, chols = [np.zeros(1), np.zeros(2)], [np.eye(1), np.eye(2)]
+    def run(target, start):
+        adaptive_rwm(target, start, np.eye(start.size), 200, McmcSettings(burn_in=100),
+                     np.random.default_rng(0))
 
-    def run(target, starts=starts):
-        rngs = [np.random.default_rng(seed) for seed in (0, 1)]
-        adaptive_rwm(target, starts, chols, [200, 300], McmcSettings(burn_in=100), rngs)
-
-    # the k=1 chain scores rows (x, 0) as N(0, 1); the k=2 chain refuses every move
-    def second_stuck(thetas):
-        return np.where(thetas[:, 1] == 0.0, -0.5 * thetas[:, 0] ** 2, -np.inf)
+    def stuck(theta):
+        return 0.0 if not theta.any() else -np.inf
 
     with pytest.raises(AdaptationError, match=r"acceptance rate 0\.000 of the k=2 chain"):
-        run(second_stuck)
-    with pytest.raises(AdaptationError, match="of the k=1 chain"):
-        run(lambda thetas: np.where((thetas == 0.0).all(axis=1), 0.0, -np.inf))
+        run(stuck, np.zeros(2))
     with pytest.raises(ValueError, match="start of the k=2 chain"):
-        run(second_stuck, [np.zeros(1), np.ones(2)])
+        run(stuck, np.ones(2))
     with pytest.raises(ValueError, match="start of the k=1 chain"):
-        run(lambda thetas: np.full(len(thetas), np.nan))
+        run(lambda theta: np.nan, np.zeros(1))
+
+
+def _imh_given_k(fam, prior, data, k, count, seed):
+    """The hierarchical draw at a k-posterior that is a point mass on k: that k alone."""
+    sieve = SievePrior(hyper_prior("geometric", 0.5, k_cap=k), prior)
+    table = MarginalLikelihoodTable({k: 0.0}, "laplace")
+    return sample_hierarchical(fam, sieve, data, count, seed, table=table)
 
 
 @pytest.mark.parametrize("tag", ["classification", "loglinear"])
-@pytest.mark.parametrize("count, thin", [(300, 1), (1200, 2)])
-def test_hierarchical_chain_does_not_depend_on_the_chains_beside_it(tag, count, thin):
-    # the laplace route steps every k's chain together; each must draw what it
-    # draws alone: `sample_given_k` on the stream seed + [k], thinned the same way
+@pytest.mark.parametrize("count", [300, 1200])
+def test_hierarchical_block_is_the_draw_for_its_k_alone(tag, count):
+    # every k's proposals are scored in one call on rows padded to the largest
+    # k; each block must be what that k's draw gives alone on the stream seed + [k]
     fam = make_family(tag, n=500)
     truth = generate_truth("self_similar", beta=1.0, seed=3, family_tag=tag)
     sieve = prior_from_config({}, tag, 500)
     data = fam.simulate(truth, 500, seed=8)
     table = marginal_table(fam, sieve, data)
-    settings = McmcSettings(burn_in=200, thin=thin)
-    draws = sample_hierarchical(fam, sieve, data, count, seed=6, mcmc=settings, table=table)
+    draws = sample_hierarchical(fam, sieve, data, count, seed=6, table=table)
     samplers = draws.diagnostics["samplers"]
-    lengths = {diag["chain_length"] for diag in samplers.values()}
     assert len(samplers) >= 3
-    # the larger sample gives chains of different lengths, so the running prefix shrinks
-    assert (len(lengths) > 1) == (count > 1000)
     for k, c_k in draws.k_counts().items():
-        keep = max(c_k, 256)
-        alone = sample_given_k(fam, sieve.conditional, data, k, keep, [6, k], mcmc=settings)
-        thinned = alone.blocks[k][np.linspace(0, keep - 1, c_k).round().astype(int)]
-        np.testing.assert_allclose(draws.blocks[k], thinned, rtol=1e-12, atol=0.0)
-        assert samplers[k] == alone.diagnostics
+        alone = _imh_given_k(fam, sieve.conditional, data, k, c_k, [6])
+        assert alone.k_counts() == {k: c_k}
+        np.testing.assert_allclose(draws.blocks[k], alone.blocks[k], rtol=1e-12, atol=0.0)
+        assert samplers[k] == alone.diagnostics["samplers"][k]
+        assert samplers[k]["sampler"] == "imh" and samplers[k]["chain_length"] == c_k
+    accepted = sum(diag["acceptance_rate"] * diag["chain_length"] for diag in samplers.values())
+    assert 0.5 < accepted / count <= 1.0
+
+
+def test_imh_block_matches_the_exact_gaussian_posterior(reg500, truth_b1):
+    # regression's posterior given k is N(b/p, I/p) and its Laplace fit is
+    # exact, so the t proposal's importance weights are the only approximation
+    # the chain must undo: 20 batch means, 3 standard errors, as criterion 03
+    from sievecred.inference import _imh_blocks
+
+    data = reg500.simulate(truth_b1, 500, seed=17)
+    k = 4
+    mean, p, _ = _regression_conjugate(reg500, gaussian_prior(), data, k)
+    (chain,), (diag,) = _imh_blocks(reg500, gaussian_prior(), data, [k], [20_000], [[13, k]])
+    assert diag["chain_length"] == 20_000 and 0.5 < diag["acceptance_rate"] < 1.0
+    batches = chain.reshape(20, -1, k).mean(axis=1)
+    mean_se = batches.std(axis=0, ddof=1) / np.sqrt(20)
+    assert np.all(np.abs(chain.mean(axis=0) - mean) <= 3 * mean_se)
+    squares = ((chain - mean) ** 2).reshape(20, -1, k).mean(axis=1)
+    var_se = squares.std(axis=0, ddof=1) / np.sqrt(20)
+    assert np.all(np.abs(squares.mean(axis=0) - 1.0 / p) <= 3 * var_se)
 
 
 def test_posterior_draws_block_bookkeeping(reg500, truth_b1):
