@@ -394,13 +394,6 @@ def test_sampler_errors_name_the_failing_chain():
         run(lambda theta: np.nan, np.zeros(1))
 
 
-def _imh_given_k(fam, prior, data, k, count, seed):
-    """The hierarchical draw at a k-posterior that is a point mass on k: that k alone."""
-    sieve = SievePrior(hyper_prior("geometric", 0.5, k_cap=k), prior)
-    table = MarginalLikelihoodTable({k: 0.0}, "laplace")
-    return sample_hierarchical(fam, sieve, data, count, seed, table=table)
-
-
 @pytest.mark.parametrize("tag", ["classification", "loglinear"])
 @pytest.mark.parametrize("count", [300, 1200])
 def test_hierarchical_block_is_the_draw_for_its_k_alone(tag, count):
@@ -415,7 +408,10 @@ def test_hierarchical_block_is_the_draw_for_its_k_alone(tag, count):
     samplers = draws.diagnostics["samplers"]
     assert len(samplers) >= 3
     for k, c_k in draws.k_counts().items():
-        alone = _imh_given_k(fam, sieve.conditional, data, k, c_k, [6])
+        # a one-entry table makes the k-posterior a point mass on k
+        point = SievePrior(hyper_prior("geometric", 0.5, k_cap=k), sieve.conditional)
+        alone = sample_hierarchical(fam, point, data, c_k, seed=6,
+                                    table=MarginalLikelihoodTable({k: 0.0}, "laplace"))
         assert alone.k_counts() == {k: c_k}
         np.testing.assert_allclose(draws.blocks[k], alone.blocks[k], rtol=1e-12, atol=0.0)
         assert samplers[k] == alone.diagnostics["samplers"][k]
