@@ -323,9 +323,8 @@ def sample_given_k(
         mode, chol, _, _ = _laplace_fit(family, prior, data, k)
         loglik = family.loglik(data, k)
 
-        def log_target(theta):
-            row = theta[None, :]
-            return (loglik(row) + log_prior_rows(prior, row))[0]
+        def log_target(rows):
+            return loglik(rows) + log_prior_rows(prior, rows)
 
         # proposal covariance = inverse curvature at the mode
         block, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, count,

@@ -113,8 +113,8 @@ def test_criterion_03_mcmc_and_laplace_validation():
     mode, chol, _, _ = _laplace_fit(fam, prior, data, k)
     loglik = fam.loglik(data, k)
 
-    def log_target(theta):
-        return loglik(theta[None, :])[0] + log_prior_rows(prior, theta[None, :])[0]
+    def log_target(rows):
+        return loglik(rows) + log_prior_rows(prior, rows)
 
     chain, diag = adaptive_rwm(
         log_target, mode, np.linalg.inv(chol).T, 20000, McmcSettings(burn_in=5000),

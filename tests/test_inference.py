@@ -29,6 +29,7 @@ from sievecred.mcmc import McmcSettings
 from sievecred.priors import SievePrior, default_k_cap
 
 from dense_design import exact_basis_product, exact_basis_series, midpoint_basis, responses
+from oracles import one_step_rwm
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +326,8 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     mode, chol, _, _ = _laplace_fit(reg500, gaussian_prior(), data, k)
     loglik = reg500.loglik(data, k)
 
-    def log_target(theta):
-        return loglik(theta[None, :])[0] + log_prior_rows(gaussian_prior(), theta[None, :])[0]
+    def log_target(rows):
+        return loglik(rows) + log_prior_rows(gaussian_prior(), rows)
 
     rng = np.random.default_rng(11)
     chain, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, 12_000,
@@ -368,8 +369,8 @@ def test_adaptation_band_error():
 
     x0 = np.zeros(2)
 
-    def stuck(theta):
-        return 0.0 if np.array_equal(theta, x0) else -np.inf
+    def stuck(rows):
+        return np.where((rows == x0).all(axis=1), 0.0, -np.inf)
 
     with pytest.raises(AdaptationError, match="acceptance rate"):
         adaptive_rwm(stuck, x0, np.eye(2), 200, McmcSettings(burn_in=100),
@@ -383,15 +384,66 @@ def test_sampler_errors_name_the_failing_chain():
         adaptive_rwm(target, start, np.eye(start.size), 200, McmcSettings(burn_in=100),
                      np.random.default_rng(0))
 
-    def stuck(theta):
-        return 0.0 if not theta.any() else -np.inf
+    def stuck(rows):
+        return np.where(rows.any(axis=1), -np.inf, 0.0)
 
     with pytest.raises(AdaptationError, match=r"acceptance rate 0\.000 of the k=2 chain"):
         run(stuck, np.zeros(2))
     with pytest.raises(ValueError, match="start of the k=2 chain"):
         run(stuck, np.ones(2))
     with pytest.raises(ValueError, match="start of the k=1 chain"):
-        run(lambda theta: np.nan, np.zeros(1))
+        run(lambda rows: np.full(len(rows), np.nan), np.zeros(1))
+
+
+def _classification_target(classif500, k):
+    """The Laplace-route chain's row-form target and proposal factor at k."""
+    from sievecred.inference import _laplace_fit
+    from sievecred.priors import log_prior_rows
+
+    truth = generate_truth("self_similar", beta=1.0, seed=3, family_tag="classification")
+    data = classif500.simulate(truth, 500, seed=8)
+    mode, chol, _, _ = _laplace_fit(classif500, gaussian_prior(), data, k)
+    loglik = classif500.loglik(data, k)
+
+    def log_target(rows):
+        return loglik(rows) + log_prior_rows(gaussian_prior(), rows)
+
+    return log_target, mode, np.linalg.inv(chol).T
+
+
+@pytest.mark.parametrize("k, burn_in, keep, thin", [
+    (1, 200, 300, 1),
+    (5, 200, 300, 1),
+    (5, 300, 900, 1),  # 1,200 steps: the chain draws a second block of proposals
+    (3, 400, 300, 3),  # thinned, and across the block boundary
+])
+def test_prefetching_chain_takes_the_one_step_chains_steps(classif500, k, burn_in, keep, thin):
+    from sievecred.mcmc import adaptive_rwm
+
+    log_target, mode, factor = _classification_target(classif500, k)
+    settings = McmcSettings(burn_in=burn_in, thin=thin)
+    got, got_diag = adaptive_rwm(log_target, mode, factor, keep, settings,
+                                 np.random.default_rng(5))
+    want, want_diag = one_step_rwm(log_target, mode, factor, keep, settings,
+                                   np.random.default_rng(5))
+    assert np.array_equal(got, want)
+    assert got_diag == want_diag
+
+
+@pytest.mark.parametrize("target", [
+    lambda rows: np.zeros(len(rows)),  # flat: every step accepts
+    lambda rows: np.where(rows.any(axis=1), -np.inf, 0.0),  # stuck: none does
+], ids=["flat", "stuck"])
+def test_prefetching_chain_fails_as_the_one_step_chain_does(target):
+    from sievecred.mcmc import AdaptationError, adaptive_rwm
+
+    messages = []
+    for chain in (adaptive_rwm, one_step_rwm):
+        with pytest.raises(AdaptationError) as err:
+            chain(target, np.zeros(3), np.eye(3), 300, McmcSettings(burn_in=100),
+                  np.random.default_rng(0))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("tag", ["classification", "loglinear"])
