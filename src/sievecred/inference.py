@@ -180,12 +180,21 @@ def _neg_log_post_parts(family, prior: ConditionalPrior, data: Dataset, k: int):
 
 
 def _laplace_fit(family, prior: ConditionalPrior, data: Dataset, k: int):
-    """Posterior mode, neg-hessian cholesky and Laplace log evidence, once per dataset."""
-    key = ("laplace", family.tag, family.basis_tag, prior, k)
-    return data.once(key, lambda: _fit_laplace(family, prior, data, k))
+    """Posterior mode, neg-hessian cholesky and Laplace log evidence, once per dataset.
+
+    The fit at k starts Newton from the mode at k - 1 with a zero appended, so
+    asking for k first makes the missing fits at 1..k - 1, in order: the fit
+    at k is the same whichever k is asked for first.
+    """
+    start = np.zeros(0)
+    for j in range(1, k + 1):
+        key = ("laplace", family.tag, family.basis_tag, prior, j)
+        fit = data.once(key, lambda: _fit_laplace(family, prior, data, j, np.append(start, 0.0)))
+        start = fit[0]
+    return fit
 
 
-def _fit_laplace(family, prior: ConditionalPrior, data: Dataset, k: int):
+def _fit_laplace(family, prior: ConditionalPrior, data: Dataset, k: int, x0):
     parts = _neg_log_post_parts(family, prior, data, k)
     scale = 1.0 / data.n
 
@@ -193,7 +202,7 @@ def _fit_laplace(family, prior: ConditionalPrior, data: Dataset, k: int):
         v, gr, h = parts(theta)
         return v * scale, gr * scale, h * scale
 
-    mode, info = damped_newton(scaled, np.zeros(k), tol=1e-9)
+    mode, info = damped_newton(scaled, x0, tol=1e-9)
     value, _, hess = parts(mode)
     chol = np.linalg.cholesky(hess)
     log_det = 2.0 * float(np.log(np.diag(chol)).sum())

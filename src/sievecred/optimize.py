@@ -54,6 +54,14 @@ def damped_newton(fun, x0, tol: float = 1e-9, max_iter: int = 200):
 
 
 def _newton_direction(hess, grad):
+    """-hess^-1 grad by one LU solve; a Cholesky factor with a growing ridge when that
+    fails or is not a descent direction, and -grad when the ridge does not help."""
+    try:
+        step = -np.linalg.solve(hess, grad)
+        if float(grad @ step) < 0.0:
+            return step
+    except np.linalg.LinAlgError:
+        pass
     k = grad.size
     ridge = 0.0
     eye = np.eye(k)

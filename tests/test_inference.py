@@ -645,5 +645,66 @@ def test_laplace_chains_reuse_the_table_fits(monkeypatch, classif500):
     assert fits == []
     fresh = classif500.simulate(truth, 500, seed=8)
     again = sample_given_k(classif500, sieve.conditional, fresh, 3, 300, seed=5, mcmc=settings)
-    assert len(fits) == 1
+    assert len(fits) == 3  # the fit at k = 3 starts from those at k = 1 and 2
     assert np.array_equal(draws.blocks[3], again.blocks[3])
+
+
+def _fresh_dataset(tag):
+    family = make_family(tag, n=500)
+    truth = generate_truth("self_similar", beta=1.0, seed=3, family_tag=tag)
+    return family, family.simulate(truth, 500, seed=8)
+
+
+@pytest.mark.parametrize("tag", ["classification", "loglinear"])
+def test_laplace_fit_at_k_alone_is_the_fit_after_the_table(tag):
+    from sievecred.inference import _laplace_fit
+
+    family, alone = _fresh_dataset(tag)
+    _, tabled = _fresh_dataset(tag)
+    sieve = SievePrior(hyper_prior("geometric", 0.5, k_cap=8), gaussian_prior())
+    marginal_table(family, sieve, tabled)
+    for k in (6, 2):  # the second is memoised from the first
+        got = _laplace_fit(family, sieve.conditional, alone, k)
+        want = _laplace_fit(family, sieve.conditional, tabled, k)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] and got[3] == want[3]
+
+
+@pytest.mark.parametrize("tag", ["classification", "loglinear"])
+def test_warm_started_fits_match_cold_fits_in_fewer_steps(tag):
+    from sievecred.inference import _laplace_fit, _neg_log_post_parts
+    from sievecred.optimize import damped_newton
+
+    family, data = _fresh_dataset(tag)
+    prior = gaussian_prior()
+    warm_steps = cold_steps = 0
+    for k in range(1, 22):
+        mode, _, log_m, info = _laplace_fit(family, prior, data, k)
+        parts = _neg_log_post_parts(family, prior, data, k)
+        assert np.max(np.abs(parts(mode)[1])) / data.n <= 1e-9, k
+
+        def scaled(theta):
+            v, g, h = parts(theta)
+            return v / data.n, g / data.n, h / data.n
+
+        cold, cold_info = damped_newton(scaled, np.zeros(k), tol=1e-9)
+        value, _, hess = parts(cold)
+        log_det = 2.0 * np.log(np.diag(np.linalg.cholesky(hess))).sum()
+        cold_log_m = -value + 0.5 * k * np.log(2 * np.pi) - 0.5 * log_det
+        assert abs(log_m - cold_log_m) < 1e-6, k
+        warm_steps += info["iterations"]
+        cold_steps += cold_info["iterations"]
+    assert warm_steps < cold_steps
+
+
+def test_newton_direction_solves_or_falls_back_to_a_ridge():
+    from sievecred.optimize import _newton_direction
+
+    grad = np.array([1.0, -2.0])
+    hess = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(_newton_direction(hess, grad), -np.linalg.solve(hess, grad))
+    # singular: LU fails and the smallest ridge, 1e-10, makes the Cholesky factor
+    assert _newton_direction(np.zeros((2, 2)), grad) == pytest.approx(-grad / 1e-10, rel=1e-12)
+    # indefinite: the solve points uphill, and no ridge up to 1 repairs it
+    step = _newton_direction(np.diag([1.0, -4.0]), grad)
+    assert np.array_equal(step, -grad)
