@@ -5,7 +5,10 @@ them (pre-fetching, Brockwell 2006, J. Comput. Graph. Statist. 15:246): the
 next `_PREFETCH` steps' proposals from the current state, each at the scale
 that burn-in reaches if every earlier one is rejected, go to `log_target` as
 one (w, k) array. The scan stops at the first accept and drops the rest, so
-the draws, the uniforms and the accept rule are those of a one-step loop. The
+the draws, the uniforms and the accept rule are those of a one-step loop.
+Only a log target's last bits can differ, where the likelihood's product
+rounds a row among others apart from the row alone, and that moves an accept
+decision only if its uniform lands within the rounding of the threshold. The
 hierarchical draw does not use the chain: `inference` draws each of its k by
 independence Metropolis-Hastings from the Laplace fit.
 """
@@ -46,13 +49,8 @@ def adaptive_rwm(log_target, x0, proposal_chol, keep: int, settings: McmcSetting
     The global scale s follows a Robbins-Monro recursion toward the target
     acceptance rate during burn-in and is frozen afterwards, so the kept chain
     satisfies detailed balance for `log_target`, which scores the rows of a
-    (w, k) array. Up to `_PREFETCH` proposals are scored in one call, and
-    the chain takes the same steps as one that scores a row at a time. Only
-    the log targets' last bits may differ where the likelihood's product
-    rounds a row alone apart from the same row among others; an accept
-    decision moves only if its uniform falls within that rounding of the
-    threshold. Raises ValueError when the start scores non-finite, and
-    AdaptationError when the kept-phase acceptance rate leaves
+    (w, k) array, w <= `_PREFETCH`. Raises ValueError when the start scores
+    non-finite, and AdaptationError when the kept-phase acceptance rate leaves
     [ACCEPT_LOW, ACCEPT_HIGH]; either names the chain's k, the dimension of `x0`.
 
     Returns (samples, diagnostics) with samples of shape (keep, k).
@@ -85,9 +83,7 @@ def adaptive_rwm(log_target, x0, proposal_chol, keep: int, settings: McmcSetting
             for j in range(t, t + w - 1):
                 if j < burn_in:
                     ls = _adapted(ls, j, False)
-                    scales.append(float(np.exp(ls)))
-                else:
-                    scales.append(scales[-1])
+                scales.append(float(np.exp(ls)))
             props = x + np.array(scales)[:, None] * zs[i:i + w]
             lp_props = log_target(props).tolist()
             for j in range(w):

@@ -54,8 +54,11 @@ def damped_newton(fun, x0, tol: float = 1e-9, max_iter: int = 200):
 
 
 def _newton_direction(hess, grad):
-    """-hess^-1 grad by one LU solve; a Cholesky factor with a growing ridge when that
-    fails or is not a descent direction, and -grad when the ridge does not help."""
+    """-hess^-1 grad by one LU solve.
+
+    Falls back to a Cholesky factor with a growing ridge when the solve fails
+    or does not point downhill, and to -grad when no ridge helps.
+    """
     try:
         step = -np.linalg.solve(hess, grad)
         if float(grad @ step) < 0.0:
