@@ -705,6 +705,6 @@ def test_newton_direction_solves_or_falls_back_to_a_ridge():
     assert np.array_equal(_newton_direction(hess, grad), -np.linalg.solve(hess, grad))
     # singular: LU fails and the smallest ridge, 1e-10, makes the Cholesky factor
     assert _newton_direction(np.zeros((2, 2)), grad) == pytest.approx(-grad / 1e-10, rel=1e-12)
-    # indefinite: the solve points uphill, and no ridge up to 1 repairs it
+    # indefinite: the solve does not point downhill, and no ridge up to 1 repairs it
     step = _newton_direction(np.diag([1.0, -4.0]), grad)
     assert np.array_equal(step, -grad)
