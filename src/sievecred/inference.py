@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .basis import check_dimension
 from .families import SMOOTH_FAMILY_TAGS, Dataset, Memo
 from .mcmc import McmcSettings, adaptive_rwm
 from .optimize import damped_newton
@@ -187,7 +188,7 @@ def _laplace_fit(family, prior: ConditionalPrior, data: Dataset, k: int):
     at k is the same whichever k is asked for first.
     """
     start = np.zeros(0)
-    for j in range(1, k + 1):
+    for j in range(1, check_dimension(k, family.max_k) + 1):
         key = ("laplace", family.tag, family.basis_tag, prior, j)
         fit = data.once(key, lambda: _fit_laplace(family, prior, data, j, np.append(start, 0.0)))
         start = fit[0]

@@ -54,24 +54,19 @@ def damped_newton(fun, x0, tol: float = 1e-9, max_iter: int = 200):
 
 
 def _newton_direction(hess, grad):
-    """-hess^-1 grad by one LU solve.
+    """-hess^-1 grad, with a growing ridge until hess + ridge I is positive definite.
 
-    Falls back to a Cholesky factor with a growing ridge when the solve fails
-    or does not point downhill, and to -grad when no ridge helps.
+    The Cholesky factor only tests definiteness; one general solve then makes
+    the step. Returns -grad when no ridge helps.
     """
-    try:
-        step = -np.linalg.solve(hess, grad)
-        if float(grad @ step) < 0.0:
-            return step
-    except np.linalg.LinAlgError:
-        pass
     k = grad.size
     ridge = 0.0
     eye = np.eye(k)
     for _ in range(6):
+        ridged = hess + ridge * eye
         try:
-            chol = np.linalg.cholesky(hess + ridge * eye)
-            return -np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+            np.linalg.cholesky(ridged)
+            return -np.linalg.solve(ridged, grad)
         except np.linalg.LinAlgError:
             ridge = max(ridge * 100.0, 1e-10)
     return -grad

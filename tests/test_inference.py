@@ -671,6 +671,17 @@ def test_laplace_fit_at_k_alone_is_the_fit_after_the_table(tag):
 
 
 @pytest.mark.parametrize("tag", ["classification", "loglinear"])
+def test_laplace_route_rejects_a_dimension_outside_the_model(tag):
+    family, data = _fresh_dataset(tag)
+    for k in (0, -1, family.max_k + 1):
+        with pytest.raises(ValueError, match=f"k={k} lies outside"):
+            marginal_likelihood(family, gaussian_prior(), data, k)
+        with pytest.raises(ValueError, match=f"k={k} lies outside"):
+            sample_given_k(family, gaussian_prior(), data, k, 10, seed=1)
+    assert not [key for key in data._memo if key[0] == "laplace"]  # no fit below k was made first
+
+
+@pytest.mark.parametrize("tag", ["classification", "loglinear"])
 def test_warm_started_fits_match_cold_fits_in_fewer_steps(tag):
     from sievecred.inference import _laplace_fit, _neg_log_post_parts
     from sievecred.optimize import damped_newton
@@ -703,8 +714,8 @@ def test_newton_direction_solves_or_falls_back_to_a_ridge():
     grad = np.array([1.0, -2.0])
     hess = np.array([[2.0, 0.5], [0.5, 1.0]])
     assert np.array_equal(_newton_direction(hess, grad), -np.linalg.solve(hess, grad))
-    # singular: LU fails and the smallest ridge, 1e-10, makes the Cholesky factor
+    # singular: the smallest ridge, 1e-10, makes the matrix positive definite
     assert _newton_direction(np.zeros((2, 2)), grad) == pytest.approx(-grad / 1e-10, rel=1e-12)
-    # indefinite: the solve does not point downhill, and no ridge up to 1 repairs it
+    # indefinite: no ridge up to 1e-2 makes it positive definite
     step = _newton_direction(np.diag([1.0, -4.0]), grad)
     assert np.array_equal(step, -grad)
