@@ -31,7 +31,7 @@ from .inference import (
     sample_given_k,
     sample_hierarchical,
 )
-from .mcmc import AdaptationError, McmcSettings, adaptive_rwm
+from .mcmc import AcceptanceRateError, McmcSettings, rwm
 from .metrics import SemiMetric
 from .priors import (
     ConditionalPrior,

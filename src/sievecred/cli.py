@@ -17,6 +17,7 @@ import os
 import sys
 
 from .bias import bias_profile, polished_tail_verdict
+from .families import FAMILY_TAGS
 from .harness import (
     ExperimentConfig,
     _Context,
@@ -26,17 +27,16 @@ from .harness import (
     run_rate,
 )
 from .inference import mmle, sample_given_k, sample_hierarchical
-from .truths import truth_to_json
+from .truths import GENERATOR_TAGS, truth_to_json
 
 
 def _add_common(parser):
-    parser.add_argument("--family", default="regression",
-                        choices=["regression", "histogram", "loglinear", "classification"])
+    parser.add_argument("--family", default="regression", choices=FAMILY_TAGS)
     parser.add_argument("--n", type=int, default=500)
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--L0", type=float, default=1.0)
     parser.add_argument("--generator", default="self_similar",
-                        choices=["self_similar", "sobolev_draw"])
+                        choices=[tag for tag in GENERATOR_TAGS if tag != "explicit"])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default=None)
 
@@ -167,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias", help="bias profile b(k), k_n, polished-tail check")
     _add_common(p)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--r0", type=int, default=2)
-    p.add_argument("--k0", type=int, default=2)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--r0", type=int, default=ExperimentConfig.tail_r0)
+    p.add_argument("--k0", type=int, default=ExperimentConfig.tail_k0)
+    p.add_argument("--tau", type=float, default=ExperimentConfig.tail_tau)
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("mmle", help="marginal likelihood table and the MMLE")
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("credible", help="one replicate's credible ball: its coverage row")
     _add_common(p)
     p.add_argument("--mode", default="hierarchical", choices=["hierarchical", "empirical"])
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=ExperimentConfig.alpha)
     p.add_argument("--L", type=float, default=2.0)
     p.add_argument("--count", type=int, default=ExperimentConfig.draws)
     p.add_argument("--burn-in", type=int, default=ExperimentConfig.mcmc_burn_in,

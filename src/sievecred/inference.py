@@ -7,8 +7,8 @@ Everything else goes through a Laplace approximation at the posterior mode,
 optionally corrected by importance sampling with the Laplace Gaussian as
 proposal; regression can take either, to check it against the exact evidence.
 Within-model sampling is exact where conjugacy allows. Otherwise the draw
-given one k (the empirical mode) is adaptive random-walk Metropolis
-preconditioned by the Laplace-mode Hessian, and the hierarchical draw takes
+given one k (the empirical mode) is random-walk Metropolis at the fixed
+scale 2.38/sqrt(k), preconditioned by the Laplace-mode Hessian, and the hierarchical draw takes
 each k's block by independence Metropolis-Hastings from a multivariate t on
 the Laplace fit, every block's proposals scored in one likelihood call.
 `route` decides which of these a family and prior take. What depends only on
@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis import check_dimension
 from .families import SMOOTH_FAMILY_TAGS, Dataset, Memo
-from .mcmc import McmcSettings, adaptive_rwm
+from .mcmc import McmcSettings, rwm
 from .optimize import damped_newton
 from .priors import ConditionalPrior, SievePrior, log_prior_rows
 
@@ -326,7 +326,12 @@ def sample_given_k(
     seed,
     mcmc: Optional[McmcSettings] = None,
 ) -> PosteriorDraws:
-    """Exact draws on the exact routes, preconditioned RWM on the laplace route."""
+    """Exact draws on the exact routes, preconditioned RWM on the laplace route.
+
+    The chain (`mcmc.rwm`) starts at the Laplace mode, discards `mcmc.burn_in`
+    steps and keeps every `mcmc.thin`-th state after them; the exact routes
+    read no `mcmc`.
+    """
     sampler = route(family.tag, prior)
     rng = np.random.default_rng(_seed_list(seed))
     if sampler == "laplace":
@@ -337,8 +342,8 @@ def sample_given_k(
             return loglik(rows) + log_prior_rows(prior, rows)
 
         # proposal covariance = inverse curvature at the mode
-        block, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, count,
-                                   mcmc or McmcSettings(), rng)
+        block, diag = rwm(log_target, mode, np.linalg.inv(chol).T, count,
+                          mcmc or McmcSettings(), rng)
         return PosteriorDraws({k: block}, diagnostics={**diag, "sampler": "rwm"})
     if sampler == "conjugate":
         mean, p, _ = _regression_conjugate(family, prior, data, k)

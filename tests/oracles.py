@@ -6,8 +6,8 @@
 reads what `truth_to_json` wrote, `sample_prior` draws from a
 conditional prior, `bernoulli_hell_sq` is the per-point Bernoulli
 Hellinger as the plain expression (the package works in place), and
-`one_step_rwm` is the random-walk chain scoring one proposal per step (the
-package scores a few ahead).
+`one_step_rwm` is the fixed-scale random-walk chain scoring one proposal per
+step (the package scores a few ahead).
 """
 
 import json
@@ -17,7 +17,7 @@ import numpy as np
 
 from sievecred.basis import _basis_block, eval_series_grid
 from sievecred.bias import BiasProfile
-from sievecred.mcmc import _BLOCK, ACCEPT_HIGH, ACCEPT_LOW, TARGET_ACCEPT, AdaptationError
+from sievecred.mcmc import ACCEPT_HIGH, ACCEPT_LOW, AcceptanceRateError
 from sievecred.priors import ConditionalPrior
 from sievecred.truths import POSITIVITY_CELLS, TruthSpec, sobolev_norm_sq
 
@@ -105,43 +105,33 @@ def bernoulli_hell_sq(q1, q2) -> np.ndarray:
 
 
 def one_step_rwm(log_target, x0, proposal_chol, keep, settings, rng):
-    """`mcmc.adaptive_rwm` with one `log_target` call per step, on a one-row array."""
+    """`mcmc.rwm` with one `log_target` call per step, on a one-row array."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     k = x.size
-    chol = np.asarray(proposal_chol, dtype=float)
-    log_s = float(np.log(2.38 / np.sqrt(k)))
-    scale = float(np.exp(log_s))
     lp = float(log_target(x[None, :])[0])
     if not math.isfinite(lp):
         raise ValueError(f"log target not finite at the start of the k={k} chain")
     burn_in, thin = settings.burn_in, settings.thin
     total = burn_in + keep * thin
+    factor = (2.38 / math.sqrt(k)) * np.asarray(proposal_chol, dtype=float)
+    zs = rng.standard_normal((total, k)) @ factor.T
+    us = np.log(rng.random(total)).tolist()
     kept = np.empty((keep, k))
     accepted = 0
-    for start in range(0, total, _BLOCK):
-        m = min(_BLOCK, total - start)
-        zs = rng.standard_normal((m, k)) @ chol.T
-        us = np.log(rng.random(m)).tolist()
-        for i in range(m):
-            t = start + i
-            prop = x + scale * zs[i]
-            lp_prop = float(log_target(prop[None, :])[0])
-            accept = us[i] < lp_prop - lp
-            if accept:
-                x = prop
-                lp = lp_prop
-            if t < burn_in:
-                gamma = 2.0 / (t + 10.0) ** 0.6
-                log_s += gamma * ((1.0 if accept else 0.0) - TARGET_ACCEPT)
-                log_s = min(max(log_s, -20.0), 5.0)
-                scale = float(np.exp(log_s))
-            else:
-                accepted += accept
-                if (t - burn_in) % thin == thin - 1:
-                    kept[(t - burn_in) // thin] = x
+    for t in range(total):
+        prop = x + zs[t]
+        lp_prop = float(log_target(prop[None, :])[0])
+        accept = us[t] < lp_prop - lp
+        if accept:
+            x = prop
+            lp = lp_prop
+        if t >= burn_in:
+            accepted += accept
+            if (t - burn_in) % thin == thin - 1:
+                kept[(t - burn_in) // thin] = x
     rate = accepted / max(total - burn_in, 1)
     if not ACCEPT_LOW <= rate <= ACCEPT_HIGH:
-        raise AdaptationError(f"kept-phase acceptance rate {rate:.3f} of the k={k} chain "
-                              f"outside [{ACCEPT_LOW}, {ACCEPT_HIGH}]")
+        raise AcceptanceRateError(f"kept-phase acceptance rate {rate:.3f} of the k={k} chain "
+                                  f"outside [{ACCEPT_LOW}, {ACCEPT_HIGH}]")
     return kept, {"acceptance_rate": float(rate), "chain_length": int(keep),
-                  "burn_in": int(burn_in), "proposal_scale": scale}
+                  "burn_in": int(burn_in)}

@@ -32,7 +32,7 @@ from sievecred import (
     tradeoff_set,
 )
 from sievecred.inference import _laplace_fit
-from sievecred.mcmc import McmcSettings, adaptive_rwm
+from sievecred.mcmc import McmcSettings, rwm
 from sievecred.priors import log_prior_rows
 
 from dense_design import midpoint_basis, responses
@@ -116,7 +116,7 @@ def test_criterion_03_mcmc_and_laplace_validation():
     def log_target(rows):
         return loglik(rows) + log_prior_rows(prior, rows)
 
-    chain, diag = adaptive_rwm(
+    chain, diag = rwm(
         log_target, mode, np.linalg.inv(chol).T, 20000, McmcSettings(burn_in=5000),
         np.random.default_rng(13),
     )

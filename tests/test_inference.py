@@ -320,7 +320,7 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
     # the conjugate route draws exactly, so run the random walk on the same
     # gaussian-prior target by hand and compare it against the closed form
     from sievecred.inference import _laplace_fit
-    from sievecred.mcmc import adaptive_rwm
+    from sievecred.mcmc import rwm
     from sievecred.priors import log_prior_rows
 
     mode, chol, _, _ = _laplace_fit(reg500, gaussian_prior(), data, k)
@@ -330,8 +330,8 @@ def test_mcmc_sampler_matches_conjugate_moments(reg500, truth_b1):
         return loglik(rows) + log_prior_rows(gaussian_prior(), rows)
 
     rng = np.random.default_rng(11)
-    chain, diag = adaptive_rwm(log_target, mode, np.linalg.inv(chol).T, 12_000,
-                               McmcSettings(burn_in=2000), rng)
+    chain, diag = rwm(log_target, mode, np.linalg.inv(chol).T, 12_000,
+                      McmcSettings(burn_in=2000), rng)
     assert 0.05 < diag["acceptance_rate"] < 0.6
     phi = midpoint_basis(500, k)
     prec = phi.T @ phi + np.eye(k)
@@ -364,30 +364,43 @@ def test_hierarchical_k_frequencies_match_k_posterior(reg500, truth_b1):
         assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / 10_000) + 1e-4
 
 
-def test_adaptation_band_error():
-    from sievecred.mcmc import AdaptationError, adaptive_rwm
+def test_acceptance_band_error():
+    from sievecred.mcmc import AcceptanceRateError, rwm
 
     x0 = np.zeros(2)
 
     def stuck(rows):
         return np.where((rows == x0).all(axis=1), 0.0, -np.inf)
 
-    with pytest.raises(AdaptationError, match="acceptance rate"):
-        adaptive_rwm(stuck, x0, np.eye(2), 200, McmcSettings(burn_in=100),
-                     np.random.default_rng(0))
+    with pytest.raises(AcceptanceRateError, match="acceptance rate"):
+        rwm(stuck, x0, np.eye(2), 200, McmcSettings(burn_in=100), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fixed_scale_chain_accepts_at_the_standard_normal_rate(seed):
+    # at scale s on N(0, 1), random-walk Metropolis accepts (2/pi) arctan(2/s)
+    # of its proposals; s = 2.38 gives 0.4449
+    from sievecred.mcmc import rwm
+
+    def std_normal(rows):
+        return -0.5 * (rows**2).sum(axis=1)
+
+    _, diag = rwm(std_normal, np.zeros(1), np.eye(1), 20_000, McmcSettings(burn_in=800),
+                  np.random.default_rng(seed))
+    assert abs(diag["acceptance_rate"] - 2 / np.pi * np.arctan(2 / 2.38)) <= 0.015
 
 
 def test_sampler_errors_name_the_failing_chain():
-    from sievecred.mcmc import AdaptationError, adaptive_rwm
+    from sievecred.mcmc import AcceptanceRateError, rwm
 
     def run(target, start):
-        adaptive_rwm(target, start, np.eye(start.size), 200, McmcSettings(burn_in=100),
-                     np.random.default_rng(0))
+        rwm(target, start, np.eye(start.size), 200, McmcSettings(burn_in=100),
+            np.random.default_rng(0))
 
     def stuck(rows):
         return np.where(rows.any(axis=1), -np.inf, 0.0)
 
-    with pytest.raises(AdaptationError, match=r"acceptance rate 0\.000 of the k=2 chain"):
+    with pytest.raises(AcceptanceRateError, match=r"acceptance rate 0\.000 of the k=2 chain"):
         run(stuck, np.zeros(2))
     with pytest.raises(ValueError, match="start of the k=2 chain"):
         run(stuck, np.ones(2))
@@ -414,16 +427,15 @@ def _classification_target(classif500, k):
 @pytest.mark.parametrize("k, burn_in, keep, thin", [
     (1, 200, 300, 1),
     (5, 200, 300, 1),
-    (5, 300, 900, 1),  # 1,200 steps: the chain draws a second block of proposals
-    (3, 400, 300, 3),  # thinned, and across the block boundary
+    (5, 300, 900, 1),  # 1,200 steps
+    (3, 400, 300, 3),  # thinned
 ])
 def test_prefetching_chain_takes_the_one_step_chains_steps(classif500, k, burn_in, keep, thin):
-    from sievecred.mcmc import adaptive_rwm
+    from sievecred.mcmc import rwm
 
     log_target, mode, factor = _classification_target(classif500, k)
     settings = McmcSettings(burn_in=burn_in, thin=thin)
-    got, got_diag = adaptive_rwm(log_target, mode, factor, keep, settings,
-                                 np.random.default_rng(5))
+    got, got_diag = rwm(log_target, mode, factor, keep, settings, np.random.default_rng(5))
     want, want_diag = one_step_rwm(log_target, mode, factor, keep, settings,
                                    np.random.default_rng(5))
     assert np.array_equal(got, want)
@@ -435,11 +447,11 @@ def test_prefetching_chain_takes_the_one_step_chains_steps(classif500, k, burn_i
     lambda rows: np.where(rows.any(axis=1), -np.inf, 0.0),  # stuck: none does
 ], ids=["flat", "stuck"])
 def test_prefetching_chain_fails_as_the_one_step_chain_does(target):
-    from sievecred.mcmc import AdaptationError, adaptive_rwm
+    from sievecred.mcmc import AcceptanceRateError, rwm
 
     messages = []
-    for chain in (adaptive_rwm, one_step_rwm):
-        with pytest.raises(AdaptationError) as err:
+    for chain in (rwm, one_step_rwm):
+        with pytest.raises(AcceptanceRateError) as err:
             chain(target, np.zeros(3), np.eye(3), 300, McmcSettings(burn_in=100),
                   np.random.default_rng(0))
         messages.append(str(err.value))
