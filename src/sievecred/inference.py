@@ -7,10 +7,11 @@ Everything else goes through a Laplace approximation at the posterior mode,
 optionally corrected by importance sampling with the Laplace Gaussian as
 proposal; regression can take either, to check it against the exact evidence.
 Within-model sampling is exact where conjugacy allows. Otherwise the draw
-given one k (the empirical mode) is random-walk Metropolis at the fixed
-scale 2.38/sqrt(k), preconditioned by the Laplace-mode Hessian, and the hierarchical draw takes
-each k's block by independence Metropolis-Hastings from a multivariate t on
-the Laplace fit, every block's proposals scored in one likelihood call.
+given one k (the empirical mode) is random-walk Metropolis at the fixed scale
+2.38/sqrt(k), preconditioned by the Laplace-mode Hessian, and the
+hierarchical draw takes each k's block by independence Metropolis-Hastings
+from a multivariate t on the Laplace fit, every block's proposals scored in
+one likelihood call.
 `route` decides which of these a family and prior take. What depends only on
 one dataset is made once and kept in the dataset's memo: each Laplace fit,
 once per prior and k, so the evidence table, the importance route and every
@@ -328,9 +329,8 @@ def sample_given_k(
 ) -> PosteriorDraws:
     """Exact draws on the exact routes, preconditioned RWM on the laplace route.
 
-    The chain (`mcmc.rwm`) starts at the Laplace mode, discards `mcmc.burn_in`
-    steps and keeps every `mcmc.thin`-th state after them; the exact routes
-    read no `mcmc`.
+    The chain (`mcmc.rwm`) starts at the Laplace mode and runs at the fixed
+    scale 2.38/sqrt(k); only it reads `mcmc` (burn-in and thinning).
     """
     sampler = route(family.tag, prior)
     rng = np.random.default_rng(_seed_list(seed))

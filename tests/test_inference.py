@@ -427,8 +427,8 @@ def _classification_target(classif500, k):
 @pytest.mark.parametrize("k, burn_in, keep, thin", [
     (1, 200, 300, 1),
     (5, 200, 300, 1),
-    (5, 300, 900, 1),  # 1,200 steps
-    (3, 400, 300, 3),  # thinned
+    (5, 300, 900, 1),
+    (3, 400, 300, 3),
 ])
 def test_prefetching_chain_takes_the_one_step_chains_steps(classif500, k, burn_in, keep, thin):
     from sievecred.mcmc import rwm
