@@ -141,6 +141,18 @@ class _Family(Memo):
         y = self._draw(truth, n, np.random.default_rng(seed))
         return Dataset(self.tag, y, n)
 
+    def center(self, draws) -> np.ndarray:
+        """The posterior mean: every block's `_block_sum`, in ascending k, over the draw count."""
+        acc = 0.0
+        for k in sorted(draws.blocks):
+            acc = acc + self._block_sum(draws, k)
+        return acc / draws.count
+
+    def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
+        """Each draw's distance to `center`, block by block in ascending k."""
+        return np.concatenate([self._block_distances(draws, k, center)
+                               for k in sorted(draws.blocks)])
+
 
 class _RowEmbedded(_Family):
     """Center, draw distances and bias from `embedding_rows`; a center is its own embedding."""
@@ -149,23 +161,14 @@ class _RowEmbedded(_Family):
         """The embedding rows of block k, once per set of draws."""
         return draws.once((self.tag, k), lambda: self.embedding_rows(draws.blocks[k], k))
 
-    def center(self, draws) -> np.ndarray:
-        total = 0
-        acc = 0.0
-        for k in sorted(draws.blocks):
-            acc = acc + self._draw_rows(draws, k).sum(axis=0)
-            total += draws.blocks[k].shape[0]
-        return acc / total
+    def _block_sum(self, draws, k: int) -> np.ndarray:
+        return self._draw_rows(draws, k).sum(axis=0)
 
     def center_embedding(self, center: np.ndarray) -> np.ndarray:
         return center
 
-    def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
-        metric = self.metric()
-        return np.concatenate([
-            metric.distances(self._draw_rows(draws, k), center)
-            for k in sorted(draws.blocks)
-        ])
+    def _block_distances(self, draws, k: int, center: np.ndarray) -> np.ndarray:
+        return self.metric().distances(self._draw_rows(draws, k), center)
 
     def bias_sq(self, truth: TruthSpec, k: int) -> float:
         projected = self.embedding_rows(self.project(truth, k)[None, :], k)[0]
@@ -304,15 +307,9 @@ class Regression(_Family):
     def metric(self) -> SemiMetric:
         return SemiMetric("l2")
 
-    def center(self, draws) -> np.ndarray:
-        k_max = max(draws.blocks)
-        acc = np.zeros(k_max)
-        total = 0
-        for k in sorted(draws.blocks):
-            block = draws.blocks[k]
-            acc[:k] += block.sum(axis=0)
-            total += block.shape[0]
-        return acc / total
+    def _block_sum(self, draws, k: int) -> np.ndarray:
+        """Block k's coefficient sum, padded with zeros to the largest k drawn."""
+        return np.pad(draws.blocks[k].sum(axis=0), (0, max(draws.blocks) - k))
 
     def center_embedding(self, center: np.ndarray) -> np.ndarray:
         """(c, 0 ... 0), as long as `truth_embedding`."""
@@ -320,17 +317,12 @@ class Regression(_Family):
         embedding[: check_dimension(center.size, self.max_k)] = center
         return embedding
 
-    def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
+    def _block_distances(self, draws, k: int, center: np.ndarray) -> np.ndarray:
         """The Euclidean norm of each draw minus the center, both padded with zeros."""
-        k_max = max(max(draws.blocks), center.size)
-        cbar = np.zeros(k_max)
+        cbar = np.zeros(max(max(draws.blocks), center.size))
         cbar[: center.size] = center
-        parts = []
-        for k in sorted(draws.blocks):
-            diff = draws.blocks[k] - cbar[:k]
-            tail = float(cbar[k:] @ cbar[k:])
-            parts.append(np.sqrt(np.einsum("si,si->s", diff, diff) + tail))
-        return np.concatenate(parts)
+        diff = draws.blocks[k] - cbar[:k]
+        return np.sqrt(np.einsum("si,si->s", diff, diff) + float(cbar[k:] @ cbar[k:]))
 
 
 class Histogram(_Density):
@@ -369,33 +361,23 @@ class Histogram(_Density):
             ("node_cells", k), lambda: np.minimum((self.rule.nodes * k).astype(int), k - 1)
         )
 
-    def center(self, draws) -> np.ndarray:
-        """The mean density on the nodes: each block is summed over its draws first, per bin."""
-        acc = 0.0
-        total = 0
-        for k in sorted(draws.blocks):
-            block = draws.blocks[k]
-            acc = acc + (k * block.sum(axis=0))[self.node_cells(k)]
-            total += block.shape[0]
-        return acc / total
+    def _block_sum(self, draws, k: int) -> np.ndarray:
+        """Block k's density summed on the nodes: its draws are summed first, per bin."""
+        return (k * draws.blocks[k].sum(axis=0))[self.node_cells(k)]
 
-    def draw_distances(self, draws, center: np.ndarray) -> np.ndarray:
+    def _block_distances(self, draws, k: int, center: np.ndarray) -> np.ndarray:
         # The quadrature Hellinger distance, scored per bin j of each draw: over
         # the nodes i of bin j, sum w_i (a_j - r_i)^2 = W_j (a_j - m_j)^2 +
         # sum w_i (r_i - m_j)^2, with a_j = sqrt(k theta_j), r_i = sqrt(center_i),
         # W_j the bin's weight and m_j its weighted mean of r.
         w = self.rule.weights
         r = np.sqrt(np.clip(center, 0.0, None))
-        parts = []
-        for k in sorted(draws.blocks):
-            cells = self.node_cells(k)
-            W = np.bincount(cells, w, k)
-            m = np.divide(np.bincount(cells, w * r, k), W, out=np.zeros(k), where=W > 0)
-            spread = float(w @ (r - m[cells]) ** 2)
-            a = np.sqrt(np.clip(k * draws.blocks[k], 0.0, None))
-            d2 = (a - m) ** 2 @ W + spread
-            parts.append(np.sqrt(np.clip(d2, 0.0, None)))
-        return np.concatenate(parts)
+        cells = self.node_cells(k)
+        W = np.bincount(cells, w, k)
+        m = np.divide(np.bincount(cells, w * r, k), W, out=np.zeros(k), where=W > 0)
+        spread = float(w @ (r - m[cells]) ** 2)
+        a = np.sqrt(np.clip(k * draws.blocks[k], 0.0, None))
+        return np.sqrt(np.clip((a - m) ** 2 @ W + spread, 0.0, None))
 
 
 class LogLinear(_Density):

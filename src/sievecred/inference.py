@@ -10,8 +10,7 @@ Within-model sampling is exact where conjugacy allows. Otherwise the draw
 given one k (the empirical mode) is random-walk Metropolis at the fixed scale
 2.38/sqrt(k), preconditioned by the Laplace-mode Hessian, and the
 hierarchical draw takes each k's block by independence Metropolis-Hastings
-from a multivariate t on the Laplace fit, every block's proposals scored in
-one likelihood call.
+from a multivariate t on the Laplace fit.
 `route` decides which of these a family and prior take. What depends only on
 one dataset is made once and kept in the dataset's memo: each Laplace fit,
 once per prior and k, so the evidence table, the importance route and every
@@ -327,73 +326,70 @@ def sample_given_k(
     seed,
     mcmc: Optional[McmcSettings] = None,
 ) -> PosteriorDraws:
-    """Exact draws on the exact routes, preconditioned RWM on the laplace route.
+    """Exact draws on the exact routes (`_block_given_k`), preconditioned RWM on the laplace route.
 
     The chain (`mcmc.rwm`) starts at the Laplace mode and runs at the fixed
     scale 2.38/sqrt(k); only it reads `mcmc` (burn-in and thinning).
     """
+    if route(family.tag, prior) != "laplace":
+        block, diag = _block_given_k(family, prior, data, k, count, seed)
+        return PosteriorDraws({k: block}, diagnostics=diag)
+    mode, chol, _, _ = _laplace_fit(family, prior, data, k)
+    loglik = family.loglik(data, k)
+
+    def log_target(rows):
+        return loglik(rows) + log_prior_rows(prior, rows)
+
+    # proposal covariance = inverse curvature at the mode
+    block, diag = rwm(log_target, mode, np.linalg.inv(chol).T, count,
+                      mcmc or McmcSettings(), np.random.default_rng(_seed_list(seed)))
+    return PosteriorDraws({k: block}, diagnostics={**diag, "sampler": "rwm"})
+
+
+def _imh_block(family, prior: ConditionalPrior, data: Dataset, k: int, count: int, rng):
+    """Independence Metropolis-Hastings given k: (block, diagnostics).
+
+    The chain runs `count` steps from the Laplace mode. Its proposals are
+    multivariate t with `_IMH_DF` degrees of freedom, centred at the mode and
+    scaled by the inverse curvature there, drawn from `rng` with the uniforms
+    of the accept test. One likelihood call scores the mode and every
+    proposal. The chain keeps the state after every step, so there is no
+    burn-in or thinning. Raises ValueError when the mode scores non-finite.
+    """
+    mode, chol, _, _ = _laplace_fit(family, prior, data, k)
+    z = rng.standard_normal((count, k)) * np.sqrt(_IMH_DF / rng.chisquare(_IMH_DF, count))[:, None]
+    log_u = np.log(rng.random(count)).tolist()
+    rows = np.vstack([mode, mode + np.linalg.solve(chol.T, z.T).T])  # row 0 holds the mode
+    log_q = -0.5 * (_IMH_DF + k) * np.log1p((z**2).sum(axis=1) / _IMH_DF)
+    log_p = family.loglik(data, k)(rows) + log_prior_rows(prior, rows)
+    if not math.isfinite(log_p[0]):
+        raise ValueError(f"log target not finite at the mode of k={k}")
+    current, state, accepted, kept = float(log_p[0]), 0, 0, []
+    for j, (w, u) in enumerate(zip((log_p[1:] - log_q).tolist(), log_u), start=1):
+        if u < w - current:
+            current, state = w, j
+            accepted += 1
+        kept.append(state)
+    diagnostics = {"sampler": "imh", "chain_length": count, "acceptance_rate": accepted / count}
+    return rows[kept], diagnostics
+
+
+def _block_given_k(family, prior: ConditionalPrior, data: Dataset, k: int, count: int, seed):
+    """`count` draws given k from the stream `seed`: (block, diagnostics).
+
+    Exact on the exact routes; independence Metropolis-Hastings (`_imh_block`)
+    on the laplace route.
+    """
     sampler = route(family.tag, prior)
     rng = np.random.default_rng(_seed_list(seed))
     if sampler == "laplace":
-        mode, chol, _, _ = _laplace_fit(family, prior, data, k)
-        loglik = family.loglik(data, k)
-
-        def log_target(rows):
-            return loglik(rows) + log_prior_rows(prior, rows)
-
-        # proposal covariance = inverse curvature at the mode
-        block, diag = rwm(log_target, mode, np.linalg.inv(chol).T, count,
-                          mcmc or McmcSettings(), rng)
-        return PosteriorDraws({k: block}, diagnostics={**diag, "sampler": "rwm"})
+        return _imh_block(family, prior, data, k, count, rng)
     if sampler == "conjugate":
         mean, p, _ = _regression_conjugate(family, prior, data, k)
         block = mean + rng.standard_normal((count, k)) / np.sqrt(p)
     else:
         block = rng.dirichlet(prior.alpha + family.counts(data, k), size=count)
-    return PosteriorDraws({k: block}, diagnostics={"sampler": sampler})
-
-
-def _imh_blocks(family, prior: ConditionalPrior, data: Dataset, ks, counts, seeds):
-    """Independence Metropolis-Hastings given each k in `ks`: (blocks, diagnostics).
-
-    Chain k runs `counts[i]` steps from its Laplace mode. Its proposals are
-    multivariate t with `_IMH_DF` degrees of freedom, centred at the mode and
-    scaled by the inverse curvature there, drawn with the uniforms of the
-    accept test from `default_rng(seeds[i])`. One likelihood at the largest k
-    scores every mode and proposal as a zero-padded row: the sieve is nested,
-    and the prior's padded entries add a constant per k, which cancels in the
-    accept ratio, as do the normalizing constants of the proposal. Each chain
-    keeps the state after every step, so there is no burn-in or thinning.
-    Raises ValueError when a mode scores non-finite.
-    """
-    fits = [_laplace_fit(family, prior, data, k) for k in ks]
-    starts = np.cumsum([len(ks)] + counts).tolist()  # rows of chain i: starts[i]:starts[i + 1]
-    rows = np.zeros((starts[-1], max(ks)))
-    log_q, log_u = [], []
-    for i, (k, c_k, seed, (mode, chol, _, _)) in enumerate(zip(ks, counts, seeds, fits)):
-        rng = np.random.default_rng(_seed_list(seed))
-        z = rng.standard_normal((c_k, k)) * np.sqrt(_IMH_DF / rng.chisquare(_IMH_DF, c_k))[:, None]
-        log_u.append(np.log(rng.random(c_k)).tolist())
-        rows[i, :k] = mode
-        rows[starts[i]:starts[i + 1], :k] = mode + np.linalg.solve(chol.T, z.T).T
-        log_q.append(-0.5 * (_IMH_DF + k) * np.log1p((z**2).sum(axis=1) / _IMH_DF))
-    log_p = family.loglik(data, max(ks))(rows) + log_prior_rows(prior, rows)
-    bad = [k for k, v in zip(ks, log_p.tolist()) if not math.isfinite(v)]
-    if bad:
-        raise ValueError(f"log target not finite at the mode of k={min(bad)}")
-    blocks, diagnostics = [], []
-    for i, c_k in enumerate(counts):
-        log_w = (log_p[starts[i]:starts[i + 1]] - log_q[i]).tolist()
-        current, state, accepted, kept = float(log_p[i]), i, 0, []  # row i holds the mode
-        for j, (w, u) in enumerate(zip(log_w, log_u[i])):
-            if u < w - current:
-                current, state = w, starts[i] + j
-                accepted += 1
-            kept.append(state)
-        blocks.append(rows[kept, : ks[i]])
-        diagnostics.append({"sampler": "imh", "chain_length": c_k,
-                            "acceptance_rate": accepted / c_k})
-    return blocks, diagnostics
+    return block, {"sampler": sampler}
 
 
 def sample_hierarchical(
@@ -408,26 +404,18 @@ def sample_hierarchical(
 ) -> PosteriorDraws:
     """Composition sampling: k from the k-posterior of `table`, then `c_k` draws given k.
 
-    The exact routes draw exactly; the laplace route takes every k's block by
-    independence Metropolis-Hastings (`_imh_blocks`). Given k, either draws
-    from the stream `seed + [k]`. No route reads `mcmc`: the keyword stays
-    only because `perfbench/replay.py` passes it.
+    Each k's block comes from `_block_given_k` on the stream `seed + [k]`. No
+    route reads `mcmc`: the keyword stays only because `perfbench/replay.py`
+    passes it.
     """
     base = _seed_list(seed)
     kpost = k_posterior(table, prior.hyper)
     rng = np.random.default_rng(base + [104729])
     ks, counts = np.unique(rng.choice(kpost.ks, size=count, p=kpost.probs), return_counts=True)
-    ks, counts = ks.tolist(), counts.tolist()
-    if ks and route(family.tag, prior.conditional) == "laplace":  # count 0 draws nothing
-        blocks, samplers = _imh_blocks(family, prior.conditional, data, ks, counts,
-                                       [base + [k] for k in ks])
-    else:
-        children = [sample_given_k(family, prior.conditional, data, k, c_k, base + [k])
-                    for k, c_k in zip(ks, counts)]
-        blocks = [child.blocks[k] for k, child in zip(ks, children)]
-        samplers = [child.diagnostics for child in children]
-    diagnostics = {"k_posterior": kpost.mass(), "samplers": dict(zip(ks, samplers))}
-    return PosteriorDraws(dict(zip(ks, blocks)), diagnostics=diagnostics)
+    blocks, samplers = {}, {}
+    for k, c_k in zip(ks.tolist(), counts.tolist()):
+        blocks[k], samplers[k] = _block_given_k(family, prior.conditional, data, k, c_k, base + [k])
+    return PosteriorDraws(blocks, diagnostics={"k_posterior": kpost.mass(), "samplers": samplers})
 
 
 def posterior_center(draws: PosteriorDraws, family) -> np.ndarray:

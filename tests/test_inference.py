@@ -461,8 +461,8 @@ def test_prefetching_chain_fails_as_the_one_step_chain_does(target):
 @pytest.mark.parametrize("tag", ["classification", "loglinear"])
 @pytest.mark.parametrize("count", [300, 1200])
 def test_hierarchical_block_is_the_draw_for_its_k_alone(tag, count):
-    # every k's proposals are scored in one call on rows padded to the largest
-    # k; each block must be what that k's draw gives alone on the stream seed + [k]
+    # each k's chain is scored at its own dimension, so its block must be, bit
+    # for bit, what that k's draw gives alone on the stream seed + [k]
     fam = make_family(tag, n=500)
     truth = generate_truth("self_similar", beta=1.0, seed=3, family_tag=tag)
     sieve = prior_from_config({}, tag, 500)
@@ -477,7 +477,7 @@ def test_hierarchical_block_is_the_draw_for_its_k_alone(tag, count):
         alone = sample_hierarchical(fam, point, data, c_k, seed=6,
                                     table=MarginalLikelihoodTable({k: 0.0}, "laplace"))
         assert alone.k_counts() == {k: c_k}
-        np.testing.assert_allclose(draws.blocks[k], alone.blocks[k], rtol=1e-12, atol=0.0)
+        assert np.array_equal(draws.blocks[k], alone.blocks[k])
         assert samplers[k] == alone.diagnostics["samplers"][k]
         assert samplers[k]["sampler"] == "imh" and samplers[k]["chain_length"] == c_k
     accepted = sum(diag["acceptance_rate"] * diag["chain_length"] for diag in samplers.values())
@@ -488,12 +488,13 @@ def test_imh_block_matches_the_exact_gaussian_posterior(reg500, truth_b1):
     # regression's posterior given k is N(b/p, I/p) and its Laplace fit is
     # exact, so the t proposal's importance weights are the only approximation
     # the chain must undo: 20 batch means, 3 standard errors, as criterion 03
-    from sievecred.inference import _imh_blocks
+    from sievecred.inference import _imh_block
 
     data = reg500.simulate(truth_b1, 500, seed=17)
     k = 4
     mean, p, _ = _regression_conjugate(reg500, gaussian_prior(), data, k)
-    (chain,), (diag,) = _imh_blocks(reg500, gaussian_prior(), data, [k], [20_000], [[13, k]])
+    chain, diag = _imh_block(reg500, gaussian_prior(), data, k, 20_000,
+                             np.random.default_rng([13, k]))
     assert diag["chain_length"] == 20_000 and 0.5 < diag["acceptance_rate"] < 1.0
     batches = chain.reshape(20, -1, k).mean(axis=1)
     mean_se = batches.std(axis=0, ddof=1) / np.sqrt(20)
@@ -501,6 +502,20 @@ def test_imh_block_matches_the_exact_gaussian_posterior(reg500, truth_b1):
     squares = ((chain - mean) ** 2).reshape(20, -1, k).mean(axis=1)
     var_se = squares.std(axis=0, ddof=1) / np.sqrt(20)
     assert np.all(np.abs(squares.mean(axis=0) - 1.0 / p) <= 3 * var_se)
+
+
+def test_imh_mode_not_finite_names_the_smallest_sampled_k(monkeypatch, classif500):
+    import sievecred.inference as inference
+
+    truth = generate_truth("self_similar", beta=1.0, seed=3, family_tag="classification")
+    sieve = prior_from_config({}, "classification", 500)
+    data = classif500.simulate(truth, 500, seed=8)
+    table = marginal_table(classif500, sieve, data)
+    ks = sorted(sample_hierarchical(classif500, sieve, data, 300, seed=6, table=table).blocks)
+    assert len(ks) >= 2
+    monkeypatch.setattr(inference, "log_prior_rows", lambda prior, rows: np.full(len(rows), -np.inf))
+    with pytest.raises(ValueError, match=rf"log target not finite at the mode of k={ks[0]}$"):
+        sample_hierarchical(classif500, sieve, data, 300, seed=6, table=table)
 
 
 def test_posterior_draws_block_bookkeeping(reg500, truth_b1):
