@@ -331,10 +331,11 @@ class CoverageReport:
     errors: list
 
     def cell(self, **query) -> dict:
-        for cell in self.cells:
-            if all(cell.get(k) == v for k, v in query.items()):
-                return cell
-        raise KeyError(f"no cell matching {query}")
+        """The one cell that matches `query`; KeyError when none or several do."""
+        matches = [cell for cell in self.cells if all(cell.get(k) == v for k, v in query.items())]
+        if len(matches) != 1:
+            raise KeyError(f"{len(matches)} cells match {query}, not one")
+        return matches[0]
 
     def _payload(self) -> dict:
         return {"op": self.op, "config": self.config, "cells": self.cells,

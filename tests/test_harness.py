@@ -207,6 +207,16 @@ def test_coverage_report_structure_and_L_monotonicity():
     assert sum(cell["k_hist"].values()) == 6
 
 
+def test_cell_query_must_name_one_cell():
+    report = run_coverage(_tiny_config(n_grid=(100, 200), replicates=2, draws=100,
+                                       mode="empirical", L_grid=(2.0,)))
+    with pytest.raises(KeyError, match="2 cells match"):
+        report.cell(mode="empirical", L=2.0)
+    with pytest.raises(KeyError, match="0 cells match"):
+        report.cell(mode="hierarchical")
+    assert report.cell(mode="empirical", L=2.0, n=200) is report.cells[1]
+
+
 def test_zero_inflation_covers_no_truth_off_center():
     report = run_coverage(_tiny_config(L_grid=(0.0,)))
     assert len(report.rows) == 12
