@@ -309,7 +309,9 @@ class Regression(_Family):
 
     def _block_sum(self, draws, k: int) -> np.ndarray:
         """Block k's coefficient sum, padded with zeros to the largest k drawn."""
-        return np.pad(draws.blocks[k].sum(axis=0), (0, max(draws.blocks) - k))
+        acc = np.zeros(max(draws.blocks))
+        acc[:k] = draws.blocks[k].sum(axis=0)
+        return acc
 
     def center_embedding(self, center: np.ndarray) -> np.ndarray:
         """(c, 0 ... 0), as long as `truth_embedding`."""

@@ -326,8 +326,9 @@ def sample_given_k(
     seed,
     mcmc: Optional[McmcSettings] = None,
 ) -> PosteriorDraws:
-    """Exact draws on the exact routes (`_block_given_k`), preconditioned RWM on the laplace route.
+    """Exact draws on the exact routes, preconditioned RWM on the laplace route.
 
+    The exact routes draw as the hierarchical sampler does (`_block_given_k`).
     The chain (`mcmc.rwm`) starts at the Laplace mode and runs at the fixed
     scale 2.38/sqrt(k); only it reads `mcmc` (burn-in and thinning).
     """

@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -106,8 +107,6 @@ def report_hashes(root: str) -> dict:
 
 def golden_payload() -> dict:
     """The golden rows and hashes, computed in this process."""
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         return {
             "coverage_rows": {family: coverage_rows(family) for family in FAMILIES},

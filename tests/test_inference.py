@@ -513,7 +513,8 @@ def test_imh_mode_not_finite_names_the_smallest_sampled_k(monkeypatch, classif50
     table = marginal_table(classif500, sieve, data)
     ks = sorted(sample_hierarchical(classif500, sieve, data, 300, seed=6, table=table).blocks)
     assert len(ks) >= 2
-    monkeypatch.setattr(inference, "log_prior_rows", lambda prior, rows: np.full(len(rows), -np.inf))
+    monkeypatch.setattr(inference, "log_prior_rows",
+                        lambda prior, rows: np.full(len(rows), -np.inf))
     with pytest.raises(ValueError, match=rf"log target not finite at the mode of k={ks[0]}$"):
         sample_hierarchical(classif500, sieve, data, 300, seed=6, table=table)
 
