@@ -63,9 +63,9 @@ def pinned_env() -> dict:
 
 
 def run_pinned(*args) -> str:
-    """stdout of `python args...` in a pinned child interpreter."""
-    proc = subprocess.run([sys.executable, *args], env=pinned_env(), capture_output=True,
-                          text=True, check=False)
+    """stdout of `python args...` in a pinned child interpreter; a RuntimeWarning fails it."""
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          env=pinned_env(), capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
